@@ -69,26 +69,28 @@ std::uint64_t WireReader::u64() {
   return v;
 }
 
-Bytes WireReader::bytes() {
-  std::uint32_t n = u32();
-  return raw(n);
+ByteView WireReader::take(std::size_t n) {
+  need(n);
+  ByteView v = data_.subspan(pos_, n);
+  pos_ += n;
+  return v;
 }
 
+Bytes WireReader::bytes() {
+  ByteView v = view();
+  return Bytes(v.begin(), v.end());
+}
+
+ByteView WireReader::view() { return take(u32()); }
+
 std::string WireReader::str() {
-  std::uint32_t n = u32();
-  need(n);
-  std::string s(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return s;
+  ByteView v = view();
+  return std::string(v.begin(), v.end());
 }
 
 Bytes WireReader::raw(std::size_t n) {
-  need(n);
-  Bytes out(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-            data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return out;
+  ByteView v = take(n);
+  return Bytes(v.begin(), v.end());
 }
 
 void WireReader::expect_done() const {

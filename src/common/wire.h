@@ -46,9 +46,12 @@ class WireWriter {
 };
 
 /// Deserializes values from a byte buffer; throws WireError on truncation.
+/// The reader keeps a view of `data`, so the buffer must outlive it; a
+/// temporary Bytes is rejected at compile time.
 class WireReader {
  public:
   explicit WireReader(ByteView data) : data_(data) {}
+  explicit WireReader(Bytes&&) = delete;
 
   std::uint8_t u8();
   std::uint16_t u16();
@@ -56,6 +59,9 @@ class WireReader {
   std::uint64_t u64();
   /// Length-prefixed (u32) byte string.
   Bytes bytes();
+  /// Length-prefixed (u32) byte string as a view into the reader's buffer:
+  /// no copy, valid only while that buffer lives.
+  ByteView view();
   /// Length-prefixed (u32) UTF-8 string.
   std::string str();
   /// Exactly `n` raw bytes.
@@ -69,6 +75,8 @@ class WireReader {
 
  private:
   void need(std::size_t n) const;
+  /// The next `n` bytes as a view, consumed.
+  ByteView take(std::size_t n);
 
   ByteView data_;
   std::size_t pos_ = 0;

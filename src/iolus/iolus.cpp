@@ -141,7 +141,7 @@ void Gsa::handle_data(const net::Message& msg) {
   Bytes key_box = r.bytes();
   Bytes payload_box = r.bytes();
   r.expect_done();
-  if (!seen_data_.insert(msg_id).second) return;  // already forwarded
+  if (!seen_data_.insert(msg_id)) return;  // already forwarded
 
   // Which side did it arrive on?
   bool from_own = msg.group == subgroup_;
@@ -333,7 +333,7 @@ void IolusMember::dispatch(const net::Message& msg) {
     case MsgType::kData: {
       if (!joined_) break;
       std::uint64_t msg_id = r.u64();
-      if (!seen_data_.insert(msg_id).second) break;
+      if (!seen_data_.insert(msg_id)) break;
       Bytes key_box = r.bytes();
       Bytes payload_box = r.bytes();
       auto data_key_raw =

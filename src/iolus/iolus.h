@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "crypto/rsa.h"
 #include "crypto/sealed.h"
 #include "net/network.h"
@@ -94,7 +94,7 @@ class Gsa : public net::Node {
   std::optional<crypto::SymmetricKey> prev_subgroup_key_;
   std::map<MemberId, MemberRecord> members_;
   std::optional<Uplink> uplink_;
-  std::set<std::uint64_t> seen_data_;  ///< loop suppression for forwarding
+  IdSet seen_data_;  ///< loop suppression for forwarding
 };
 
 /// An ordinary Iolus member.
@@ -135,7 +135,7 @@ class IolusMember : public net::Node {
   std::optional<crypto::SymmetricKey> prev_subgroup_key_;
   crypto::SymmetricKey pairwise_;
   std::vector<Bytes> received_data_;
-  std::set<std::uint64_t> seen_data_;
+  IdSet seen_data_;
   std::size_t undecryptable_count_ = 0;
 };
 

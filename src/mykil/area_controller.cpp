@@ -899,20 +899,19 @@ void AreaController::handle_leave_request(const net::Message& msg) {
   schedule_leave(client);
 }
 
-void AreaController::handle_data(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
+void AreaController::handle_data(const net::Message& msg, ByteView box) {
+  WireReader r(box);
   std::uint64_t msg_id = r.u64();
   std::uint64_t sender = r.u64();
-  Bytes key_box = r.bytes();
-  Bytes payload_box = r.bytes();
+  ByteView key_box = r.view();
+  ByteView payload_box = r.view();
   r.expect_done();
 
   // Any traffic from a member counts as liveness.
   if (auto it = members_.find(sender); it != members_.end())
     it->second.last_heard = network().now();
 
-  if (!seen_data_.insert(msg_id).second) return;
+  if (!seen_data_.insert(msg_id)) return;
 
   // Section III-E: "The keys are updated just before the multicast data is
   // forwarded."
@@ -1790,9 +1789,9 @@ void AreaController::on_message(const net::Message& raw) {
   const net::Message& msg =
       rx == net::ArqEndpoint::Rx::kDeliver ? unwrapped : raw;
 
-  Envelope env;
+  EnvelopeView env;
   try {
-    env = parse_envelope(msg.payload);
+    env = parse_envelope_view(msg.payload);
   } catch (const Error&) {
     return;
   }
@@ -1860,7 +1859,7 @@ void AreaController::on_message(const net::Message& raw) {
         handle_alive(msg);
         break;
       case MsgType::kData:
-        handle_data(msg);
+        handle_data(msg, env.box);
         break;
       case MsgType::kLeaveRequest:
         handle_leave_request(msg);

@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <map>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
 #include "lkh/key_tree.h"
@@ -209,7 +209,8 @@ class AreaController : public net::Node {
   void handle_uplink_join(const net::Message& msg);
   void handle_uplink_reply(const net::Message& msg);
   void handle_alive(const net::Message& msg);
-  void handle_data(const net::Message& msg);
+  /// `box` is the envelope's box, a view into msg.payload.
+  void handle_data(const net::Message& msg, ByteView box);
   void handle_leave_request(const net::Message& msg);
   void handle_rekey_from_parent(const net::Message& msg);
   void handle_split_update(const net::Message& msg);
@@ -306,7 +307,7 @@ class AreaController : public net::Node {
   std::map<std::uint64_t, AwaitingCohortCheck> awaiting_cohort_;  // by K_id
 
   std::optional<Uplink> uplink_;
-  std::set<std::uint64_t> seen_data_;
+  IdSet seen_data_;
   /// Area key before the most recent rotation: senders race rekeys.
   std::optional<crypto::SymmetricKey> prev_area_key_;
   /// One-shot rejoin-timeout timers: token -> K_id of the awaited check.

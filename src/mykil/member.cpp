@@ -389,16 +389,15 @@ void Member::handle_split_update(const net::Message& msg) {
   keys_.install(lkh::deserialize_path(inner));
 }
 
-void Member::handle_data(const net::Message& msg) {
+void Member::handle_data(const net::Message& msg, ByteView box) {
   if (!joined_ || msg.group != area_group_) return;
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
+  WireReader r(box);
   std::uint64_t msg_id = r.u64();
   (void)r.u64();  // sender
-  Bytes key_box = r.bytes();
-  Bytes payload_box = r.bytes();
+  ByteView key_box = r.view();
+  ByteView payload_box = r.view();
   r.expect_done();
-  if (!seen_data_.insert(msg_id).second) return;
+  if (!seen_data_.insert(msg_id)) return;
 
   auto open_key = [&]() -> std::optional<crypto::SymmetricKey> {
     try {
@@ -773,9 +772,9 @@ void Member::on_message(const net::Message& raw) {
   const net::Message& msg =
       rx == net::ArqEndpoint::Rx::kDeliver ? unwrapped : raw;
 
-  Envelope env;
+  EnvelopeView env;
   try {
-    env = parse_envelope(msg.payload);
+    env = parse_envelope_view(msg.payload);
   } catch (const Error&) {
     return;
   }
@@ -803,7 +802,7 @@ void Member::on_message(const net::Message& raw) {
         handle_split_update(msg);
         break;
       case MsgType::kData:
-        handle_data(msg);
+        handle_data(msg, env.box);
         break;
       case MsgType::kTakeOver:
         handle_takeover(msg);

@@ -10,9 +10,9 @@
 
 #include <cstdint>
 #include <optional>
-#include <set>
 #include <vector>
 
+#include "common/id_set.h"
 #include "crypto/data_plane.h"
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
@@ -117,7 +117,8 @@ class Member : public net::Node {
   void handle_rejoin_step6(const net::Message& msg);
   void handle_rekey(const net::Message& msg);
   void handle_split_update(const net::Message& msg);
-  void handle_data(const net::Message& msg);
+  /// `box` is the envelope's box, a view into msg.payload.
+  void handle_data(const net::Message& msg, ByteView box);
   void handle_takeover(const net::Message& msg);
   /// RS load-shed reply to step 1: back off before retrying the join.
   void handle_join_shed(const net::Message& msg);
@@ -204,7 +205,7 @@ class Member : public net::Node {
   std::uint64_t rekey_entries_applied_ = 0;
 
   std::vector<Bytes> received_data_;
-  std::set<std::uint64_t> seen_data_;
+  IdSet seen_data_;
   std::size_t undecryptable_count_ = 0;
 
   /// Two-slot cache (current + previous group key) of sealing contexts,

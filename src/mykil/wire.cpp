@@ -41,15 +41,21 @@ Bytes signed_envelope(MsgType type, ByteView box,
   return w.take();
 }
 
-Envelope parse_envelope(ByteView packet) {
+EnvelopeView parse_envelope_view(ByteView packet) {
   WireReader r(packet);
-  Envelope env;
+  EnvelopeView env;
   env.type = static_cast<MsgType>(r.u8());
   bool is_signed = r.u8() != 0;
-  env.box = r.bytes();
-  if (is_signed) env.sig = r.bytes();
+  env.box = r.view();
+  if (is_signed) env.sig = r.view();
   r.expect_done();
   return env;
+}
+
+Envelope parse_envelope(ByteView packet) {
+  EnvelopeView v = parse_envelope_view(packet);
+  return {v.type, Bytes(v.box.begin(), v.box.end()),
+          Bytes(v.sig.begin(), v.sig.end())};
 }
 
 bool verify_envelope(const Envelope& env, const crypto::RsaPublicKey& pub) {

@@ -75,12 +75,24 @@ Bytes envelope(MsgType type, ByteView box);
 Bytes signed_envelope(MsgType type, ByteView box,
                       const crypto::RsaPrivateKey& signer);
 
+/// A parsed envelope whose `box` and `sig` point into the packet: no copy,
+/// valid only while the packet lives (the data path keeps it for one
+/// handler call). A temporary packet is rejected at compile time.
+struct EnvelopeView {
+  MsgType type{};
+  ByteView box;
+  ByteView sig;  ///< empty when unsigned
+};
+/// Parse either envelope form (presence of the signature is format-driven).
+EnvelopeView parse_envelope_view(ByteView packet);
+EnvelopeView parse_envelope_view(Bytes&&) = delete;
+
+/// Owning form of EnvelopeView: box and sig copied out of the packet.
 struct Envelope {
   MsgType type;
   Bytes box;
   Bytes sig;  ///< empty when unsigned
 };
-/// Parse either envelope form (presence of the signature is format-driven).
 Envelope parse_envelope(ByteView packet);
 
 /// Verify an envelope's signature over its box. Returns false when the

@@ -1,9 +1,16 @@
-// Tests for the common substrate: bytes helpers, hex, wire serialization.
+// Tests for the common substrate: bytes helpers, hex, wire serialization,
+// the flat id set.
 #include <gtest/gtest.h>
+
+#include <random>
+#include <set>
+#include <type_traits>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/error.h"
 #include "common/hex.h"
+#include "common/id_set.h"
 #include "common/wire.h"
 
 namespace mykil {
@@ -151,6 +158,106 @@ TEST(Wire, RawFixedWidthField) {
   WireReader r(w.data());
   EXPECT_EQ(to_string(r.raw(8)), "12345678");
   EXPECT_THROW(r.raw(1), WireError);
+}
+
+TEST(Wire, ViewPointsIntoTheBuffer) {
+  WireWriter w;
+  w.bytes(to_bytes("key"));
+  w.bytes(to_bytes("payload"));
+  const Bytes& buf = w.data();
+  WireReader r(buf);
+  ByteView key = r.view();
+  ByteView payload = r.view();
+  r.expect_done();
+  EXPECT_EQ(to_string(key), "key");
+  EXPECT_EQ(to_string(payload), "payload");
+  EXPECT_EQ(key.data(), buf.data() + 4);
+  EXPECT_EQ(payload.data(), buf.data() + 4 + 3 + 4);
+}
+
+TEST(Wire, TruncatedViewThrows) {
+  WireWriter w;
+  w.u32(5);  // claims 5 bytes, 3 follow
+  w.raw(to_bytes("abc"));
+  WireReader r(w.data());
+  EXPECT_THROW(r.view(), WireError);
+}
+
+// A reader over a temporary would hand out dangling views.
+static_assert(!std::is_constructible_v<WireReader, Bytes&&>);
+static_assert(std::is_constructible_v<WireReader, const Bytes&>);
+
+TEST(IdSet, MatchesStdSetAcrossGrowths) {
+  // 120k inserts, about one in five repeating an earlier id, with 0 (the
+  // side flag) and ~0 each inserted twice; the table grows 16 -> 256k slots.
+  IdSet ids;
+  std::set<std::uint64_t> ref;
+  std::mt19937_64 rng(7);
+  std::vector<std::uint64_t> drawn;
+  std::size_t repeats = 0;
+  for (int i = 0; i < 120000; ++i) {
+    std::uint64_t id = 0;
+    if (i == 1000 || i == 60000) {
+      id = 0;
+    } else if (i == 2000 || i == 90000) {
+      id = ~0ULL;
+    } else if (!drawn.empty() && rng() % 5 == 0) {
+      id = drawn[rng() % drawn.size()];
+    } else {
+      id = rng();
+    }
+    drawn.push_back(id);
+    bool fresh = ref.insert(id).second;
+    repeats += fresh ? 0 : 1;
+    ASSERT_EQ(ids.insert(id), fresh) << "insert " << i << " id " << id;
+    ASSERT_EQ(ids.size(), ref.size()) << "insert " << i;
+  }
+  EXPECT_GT(repeats, 20000u);
+  EXPECT_EQ(ref.count(0), 1u);
+  EXPECT_EQ(ref.count(~0ULL), 1u);
+}
+
+TEST(IdSet, ClearForgetsEverythingAndTheSetIsReusable) {
+  IdSet ids;
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(ids.insert(i * 3));
+  ids.clear();
+  EXPECT_EQ(ids.size(), 0u);
+  EXPECT_EQ(ids.longest_run(), 0u);
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_TRUE(ids.insert(i * 3)) << i;
+  for (std::uint64_t i = 0; i < 1000; ++i) EXPECT_FALSE(ids.insert(i * 3)) << i;
+  EXPECT_EQ(ids.size(), 1000u);
+}
+
+TEST(IdSet, AnswersDoNotDependOnTheKey) {
+  IdSet fixed(IdSet::Key{1, 2});
+  IdSet other(IdSet::Key{0x0123456789abcdefULL, 0xfedcba9876543210ULL});
+  IdSet process;  // the per-process random key
+  std::mt19937_64 rng(11);
+  for (int i = 0; i < 20000; ++i) {
+    std::uint64_t id = rng() % 8000;  // many repeats, 0 included
+    bool fresh = fixed.insert(id);
+    ASSERT_EQ(other.insert(id), fresh) << "insert " << i;
+    ASSERT_EQ(process.insert(id), fresh) << "insert " << i;
+  }
+  EXPECT_EQ(fixed.size(), other.size());
+  EXPECT_EQ(fixed.size(), process.size());
+}
+
+TEST(IdSet, StructuredIdsKeepProbeRunsLogarithmic) {
+  // Ids a sender could aim at an unkeyed hash: runs with power-of-two
+  // strides, so they agree in every low bit (or every high bit). With
+  // slot = id mod size, stride 1 fills one 32k-slot run and the others
+  // pile into slot 0. Keyed, at load 1/2 in 64k slots, the longest run
+  // measures about 35 (64 at most over 1,000 random keys); allow 110.
+  const std::uint64_t strides[] = {1, 1ULL << 16, 1ULL << 32, 1ULL << 47};
+  for (IdSet::Key key : {IdSet::Key{1, 2}, IdSet::process_key()}) {
+    for (std::uint64_t stride : strides) {
+      IdSet ids(key);
+      for (std::uint64_t i = 1; i <= 32768; ++i)
+        ASSERT_TRUE(ids.insert(i * stride));
+      EXPECT_LE(ids.longest_run(), 110u) << "stride " << stride;
+    }
+  }
 }
 
 }  // namespace

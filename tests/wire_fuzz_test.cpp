@@ -114,6 +114,31 @@ TEST(WireFuzz, EnvelopeSurvivesGarbage) {
   fuzz([](const Bytes& b) { core::parse_envelope(b); }, 106);
 }
 
+TEST(WireFuzz, EnvelopeViewStaysInsideThePacket) {
+  // The data path reads boxes as views into the delivered payload: every
+  // view parsed from a valid, mutated or truncated packet lies inside it.
+  WireWriter w;
+  w.u8(static_cast<std::uint8_t>(core::MsgType::kData));
+  w.u8(1);  // signed
+  w.bytes(to_bytes("box bytes"));
+  w.bytes(to_bytes("sig"));
+  const Bytes valid = w.take();
+  auto parse_inside = [](const Bytes& packet) {
+    core::EnvelopeView v = core::parse_envelope_view(packet);
+    for (ByteView part : {v.box, v.sig}) {
+      if (part.empty()) continue;
+      EXPECT_GE(part.data(), packet.data());
+      EXPECT_LE(part.data() + part.size(), packet.data() + packet.size());
+    }
+  };
+  mutate(parse_inside, valid);
+  fuzz(parse_inside, 108);
+  core::EnvelopeView v = core::parse_envelope_view(valid);
+  EXPECT_EQ(v.type, core::MsgType::kData);
+  EXPECT_EQ(to_string(v.box), "box bytes");
+  EXPECT_EQ(to_string(v.sig), "sig");
+}
+
 TEST(WireFuzz, MacStripSurvivesGarbage) {
   fuzz([](const Bytes& b) { core::strip_mac(b); }, 107);
 }
