@@ -10,6 +10,7 @@
 // benchmark code in under a second.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <string_view>
 #include <vector>
@@ -277,6 +278,26 @@ void time_op_tp(bench::BenchJson& json, const std::string& name, int iters,
   json.add(name, ns, iters, mb_s, impl);
 }
 
+/// Like time_op, but records the median ns/op of `rounds` loops of `iters`
+/// calls, so one descheduled stretch on a shared host does not move the row.
+template <typename Fn>
+void time_op_median(bench::BenchJson& json, const std::string& name,
+                    int rounds, int iters, Fn&& fn) {
+  std::vector<double> per_op;
+  for (int r = 0; r < rounds; ++r) {
+    auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) fn();
+    auto end = std::chrono::steady_clock::now();
+    per_op.push_back(static_cast<double>(
+                         std::chrono::duration_cast<std::chrono::nanoseconds>(
+                             end - start)
+                             .count()) /
+                     iters);
+  }
+  std::sort(per_op.begin(), per_op.end());
+  json.add(name, per_op[per_op.size() / 2], rounds * iters);
+}
+
 /// Fixed chrono-timed pass over the crypto hot paths. Smoke mode shrinks
 /// RSA to 768 bits and every loop to one iteration; the full run records
 /// the paper's 2048-bit trajectory.
@@ -332,6 +353,28 @@ void run_json_suite(const std::string& path, bool smoke) {
     crypto::Prng kg(keygen_seed++);
     benchmark::DoNotOptimize(crypto::rsa_generate(rsa_bits, kg));
   });
+
+  // The deployment size: every Mykil key in perfbench/ is RSA-768 with
+  // e = 65537, and its per-layer crypto.rsa_{private,public}_us calibrate
+  // on these two operations. Smoke mode already records them above.
+  if (!smoke) {
+    crypto::Prng dprng(31);
+    const crypto::RsaKeyPair dkp = crypto::rsa_generate(768, dprng);
+    const Bytes dct = crypto::rsa_encrypt(dkp.pub, msg, dprng);
+    const Bytes dsig = crypto::rsa_sign(dkp.priv, msg);
+    time_op_median(json, "rsa768_encrypt", 5, 4000, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_encrypt(dkp.pub, msg, dprng));
+    });
+    time_op_median(json, "rsa768_decrypt", 5, 400, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_decrypt(dkp.priv, dct));
+    });
+    time_op_median(json, "rsa768_sign", 5, 400, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_sign(dkp.priv, msg));
+    });
+    time_op_median(json, "rsa768_verify", 5, 4000, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_verify(dkp.pub, msg, dsig));
+    });
+  }
 
   // Symmetric hot paths, for the satellite-optimization trajectory. The
   // unsuffixed rows run whatever the dispatcher picks on this host (their

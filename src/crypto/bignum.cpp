@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <memory>
 
 #include "common/error.h"
 #include "crypto/prng.h"
@@ -344,7 +345,67 @@ BigUInt BigUInt::mod_exp_mont(const BigUInt& base, const BigUInt& exp,
   if (m.is_zero()) throw CryptoError("mod_exp modulus is zero");
   if (m == BigUInt(1)) return BigUInt();
   if (m.is_even()) return mod_exp(base, exp, m);  // Montgomery needs odd n
-  return MontgomeryContext(m).mod_exp(base, exp);
+  return MontgomeryContext::cached(m).mod_exp(base, exp);
+}
+
+namespace {
+
+/// Widest window mod_exp uses (a 32-entry table).
+constexpr std::size_t kMaxWindow = 5;
+
+/// One thread's least-recently-used set of Montgomery contexts (see
+/// MontgomeryContext::cached). Contexts live on the heap, so a returned
+/// reference survives the slot vector growing; only eviction ends it.
+class ContextCache {
+ public:
+  const MontgomeryContext& get(const BigUInt& n) {
+    const std::uint64_t tag = n.low_u64();
+    for (Slot& s : slots_) {
+      if (s.tag == tag && s.ctx->modulus() == n) {
+        s.stamp = ++clock_;
+        return *s.ctx;
+      }
+    }
+    auto fresh = std::make_unique<MontgomeryContext>(n);
+    if (slots_.size() < MontgomeryContext::kCacheCapacity) {
+      slots_.push_back({tag, ++clock_, std::move(fresh)});
+      return *slots_.back().ctx;
+    }
+    Slot& victim = *std::min_element(
+        slots_.begin(), slots_.end(),
+        [](const Slot& a, const Slot& b) { return a.stamp < b.stamp; });
+    victim = {tag, ++clock_, std::move(fresh)};
+    return *victim.ctx;
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t tag;    ///< low 64 bits of the modulus
+    std::uint64_t stamp;  ///< clock_ at the last lookup
+    std::unique_ptr<MontgomeryContext> ctx;
+  };
+  std::vector<Slot> slots_;
+  std::uint64_t clock_ = 0;
+};
+
+}  // namespace
+
+const MontgomeryContext& MontgomeryContext::cached(const BigUInt& modulus) {
+  // Per thread: pool threads of the parallel engine each keep their own
+  // set, so no lookup takes a lock.
+  thread_local ContextCache cache;
+  return cache.get(modulus);
+}
+
+std::size_t MontgomeryContext::window_bits(std::size_t exp_bits) {
+  // After OpenSSL's BN_window_bits_for_exponent_size, with the plain
+  // ladder kept up to 32 bits (e = 65537: 16 squarings and 1 multiply, no
+  // table) and the width capped at 5: a 6-bit table measured no faster on
+  // the 1024-bit CRT exponents of RSA-2048.
+  if (exp_bits <= 32) return 1;
+  if (exp_bits <= 79) return 3;
+  if (exp_bits <= 239) return 4;
+  return kMaxWindow;
 }
 
 MontgomeryContext::MontgomeryContext(const BigUInt& modulus) : n_(modulus) {
@@ -363,47 +424,66 @@ MontgomeryContext::MontgomeryContext(const BigUInt& modulus) : n_(modulus) {
   for (int i = 0; i < 6; ++i) inv *= Word{2} - x * inv;
   n0_inv_ = ~inv + 1;
 
-  r2_ = to_words((BigUInt(1) << (2 * kWordBits * k_)) % n_);
+  r2_.assign(k_, 0);
+  to_words((BigUInt(1) << (2 * kWordBits * k_)) % n_, r2_.data());
   one_.assign(k_, 0);
   one_[0] = 1;
-  // R mod n = montmul(R^2, 1), avoiding a second long division.
-  Words scratch;
-  one_mont_.assign(k_, 0);
-  mont_mul(one_mont_, r2_, one_, scratch);
-}
 
-MontgomeryContext::Words MontgomeryContext::to_words(const BigUInt& v) const {
-  const BigUInt* r = &v;
-  BigUInt reduced;
-  if (v >= n_) {
-    reduced = v % n_;
-    r = &reduced;
+  // Fixed-width kernels for RSA-512 and RSA-768 moduli and the CRT halves
+  // of RSA-512/768/1024; every other size runs the loop. Full unroll at
+  // 1024 bits and above measured slower than the loop.
+  switch (k_ * kWordBits) {
+    case 256: exp_ = &MontgomeryContext::exp_impl<256 / kWordBits>; break;
+    case 384: exp_ = &MontgomeryContext::exp_impl<384 / kWordBits>; break;
+    case 512: exp_ = &MontgomeryContext::exp_impl<512 / kWordBits>; break;
+    case 768: exp_ = &MontgomeryContext::exp_impl<768 / kWordBits>; break;
+    default: exp_ = &MontgomeryContext::exp_impl<0>; break;
   }
-  Words out(k_, 0);
-  for (std::size_t i = 0; i < r->limbs_.size(); ++i)
-    out[i / kLimbsPerWord] |= static_cast<Word>(r->limbs_[i])
-                              << (32 * (i % kLimbsPerWord));
-  return out;
 }
 
-BigUInt MontgomeryContext::from_words(const Words& v) {
+bool MontgomeryContext::fixed_width() const {
+  return exp_ != &MontgomeryContext::exp_impl<0>;
+}
+
+void MontgomeryContext::to_words(const BigUInt& v, Word* out) const {
+  if (v >= n_) return to_words(v % n_, out);
+  std::fill_n(out, k_, Word{0});
+  for (std::size_t i = 0; i < v.limbs_.size(); ++i)
+    out[i / kLimbsPerWord] |= static_cast<Word>(v.limbs_[i])
+                              << (32 * (i % kLimbsPerWord));
+}
+
+BigUInt MontgomeryContext::from_words(const Word* v) const {
   BigUInt out;
-  out.limbs_.reserve(v.size() * kLimbsPerWord);
-  for (const Word w : v)
-    for (std::size_t p = 0; p < kLimbsPerWord; ++p)
-      out.limbs_.push_back(static_cast<std::uint32_t>(w >> (32 * p)));
+  out.limbs_.resize(k_ * kLimbsPerWord);
+  for (std::size_t i = 0; i < out.limbs_.size(); ++i)
+    out.limbs_[i] = static_cast<std::uint32_t>(v[i / kLimbsPerWord] >>
+                                               (32 * (i % kLimbsPerWord)));
   out.normalize();
   return out;
 }
 
-void MontgomeryContext::mont_mul(Words& out, const Words& a, const Words& b,
-                                 Words& t) const {
-  const std::size_t k = k_;
-  t.assign(k + 2, 0);
+// The kernels below take their width from K when it is nonzero: the loops
+// then have constant trip counts, unroll fully, and keep scratch on the
+// stack. K == 0 is the runtime-width loop over k_ words.
+
+template <std::size_t K>
+void MontgomeryContext::mont_mul(Word* out, const Word* a, const Word* b,
+                                 Word* t) const {
+  const std::size_t k = K != 0 ? K : k_;
+  std::array<Word, K + 2> stack{};
+  if constexpr (K != 0) {
+    t = stack.data();
+  } else {
+    std::fill_n(t, k + 1, Word{0});
+  }
+  const Word* n = mod_.data();
+#pragma GCC unroll 16
   for (std::size_t i = 0; i < k; ++i) {
     // t += a[i] * b
     const Word ai = a[i];
     Word carry = 0;
+#pragma GCC unroll 16
     for (std::size_t j = 0; j < k; ++j) {
       const DWord cur = static_cast<DWord>(ai) * b[j] + t[j] + carry;
       t[j] = static_cast<Word>(cur);
@@ -411,35 +491,43 @@ void MontgomeryContext::mont_mul(Words& out, const Words& a, const Words& b,
     }
     DWord cur = static_cast<DWord>(t[k]) + carry;
     t[k] = static_cast<Word>(cur);
-    t[k + 1] += static_cast<Word>(cur >> kWordBits);
+    t[k + 1] = static_cast<Word>(cur >> kWordBits);
 
     // m chosen so t + m*n has W zero low bits; add m*n and shift one word.
     const Word m = t[0] * n0_inv_;
-    cur = static_cast<DWord>(m) * mod_[0] + t[0];
+    cur = static_cast<DWord>(m) * n[0] + t[0];
     carry = static_cast<Word>(cur >> kWordBits);
+#pragma GCC unroll 16
     for (std::size_t j = 1; j < k; ++j) {
-      cur = static_cast<DWord>(m) * mod_[j] + t[j] + carry;
+      cur = static_cast<DWord>(m) * n[j] + t[j] + carry;
       t[j - 1] = static_cast<Word>(cur);
       carry = static_cast<Word>(cur >> kWordBits);
     }
     cur = static_cast<DWord>(t[k]) + carry;
     t[k - 1] = static_cast<Word>(cur);
     t[k] = t[k + 1] + static_cast<Word>(cur >> kWordBits);
-    t[k + 1] = 0;
   }
 
   // Result in t[0..k]; one conditional subtract brings it below n.
-  final_reduce(out, t, 0, t[k]);
+  final_reduce<K>(out, t, t[k]);
 }
 
-void MontgomeryContext::mont_sqr(Words& out, const Words& a, Words& t) const {
-  const std::size_t k = k_;
-  t.assign(2 * k + 1, 0);
+template <std::size_t K>
+void MontgomeryContext::mont_sqr(Word* out, const Word* a, Word* t) const {
+  const std::size_t k = K != 0 ? K : k_;
+  std::array<Word, 2 * K + 1> stack{};
+  if constexpr (K != 0) {
+    t = stack.data();
+  } else {
+    std::fill_n(t, 2 * k + 1, Word{0});
+  }
 
   // Upper-triangle cross products a[i]·a[j], i < j, each computed once.
+#pragma GCC unroll 16
   for (std::size_t i = 0; i + 1 < k; ++i) {
     const Word ai = a[i];
     Word carry = 0;
+#pragma GCC unroll 16
     for (std::size_t j = i + 1; j < k; ++j) {
       const DWord cur = static_cast<DWord>(ai) * a[j] + t[i + j] + carry;
       t[i + j] = static_cast<Word>(cur);
@@ -450,6 +538,7 @@ void MontgomeryContext::mont_sqr(Words& out, const Words& a, Words& t) const {
 
   // Double them (t <<= 1), then add the diagonal squares a[i]^2 at 2i.
   Word shift_carry = 0;
+#pragma GCC unroll 32
   for (std::size_t i = 0; i < 2 * k; ++i) {
     const Word next = t[i] >> (kWordBits - 1);
     t[i] = (t[i] << 1) | shift_carry;
@@ -457,6 +546,7 @@ void MontgomeryContext::mont_sqr(Words& out, const Words& a, Words& t) const {
   }
   t[2 * k] = shift_carry;
   Word carry = 0;
+#pragma GCC unroll 16
   for (std::size_t i = 0; i < k; ++i) {
     const DWord sq = static_cast<DWord>(a[i]) * a[i];
     DWord cur = static_cast<DWord>(t[2 * i]) + static_cast<Word>(sq) + carry;
@@ -469,108 +559,112 @@ void MontgomeryContext::mont_sqr(Words& out, const Words& a, Words& t) const {
   }
   t[2 * k] += carry;
 
-  // Montgomery reduction: k passes, each zeroing one low word.
+  // Montgomery reduction: k passes, each zeroing one low word. The carry
+  // out of a pass's top word is deferred into the next pass's top word.
+  const Word* n = mod_.data();
+  Word deferred = 0;
+#pragma GCC unroll 16
   for (std::size_t i = 0; i < k; ++i) {
     const Word m = t[i] * n0_inv_;
     Word c = 0;
+#pragma GCC unroll 16
     for (std::size_t j = 0; j < k; ++j) {
-      const DWord cur = static_cast<DWord>(m) * mod_[j] + t[i + j] + c;
+      const DWord cur = static_cast<DWord>(m) * n[j] + t[i + j] + c;
       t[i + j] = static_cast<Word>(cur);
       c = static_cast<Word>(cur >> kWordBits);
     }
-    for (std::size_t idx = i + k; c != 0; ++idx) {
-      const DWord cur = static_cast<DWord>(t[idx]) + c;
-      t[idx] = static_cast<Word>(cur);
-      c = static_cast<Word>(cur >> kWordBits);
-    }
+    const DWord cur = static_cast<DWord>(t[i + k]) + c + deferred;
+    t[i + k] = static_cast<Word>(cur);
+    deferred = static_cast<Word>(cur >> kWordBits);
   }
-  final_reduce(out, t, k, t[2 * k]);
+  final_reduce<K>(out, t + k, t[2 * k] + deferred);
 }
 
-void MontgomeryContext::final_reduce(Words& out, const Words& t,
-                                     std::size_t offset, Word top) const {
-  const std::size_t k = k_;
-  bool ge = top != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = k; i-- > 0;) {
-      if (t[offset + i] != mod_[i]) {
-        ge = t[offset + i] > mod_[i];
-        break;
-      }
-    }
+template <std::size_t K>
+void MontgomeryContext::final_reduce(Word* out, const Word* t,
+                                     Word top) const {
+  const std::size_t k = K != 0 ? K : k_;
+  const Word* n = mod_.data();
+  // out = t - n; (top:t) >= n exactly when that borrow does not exceed top.
+  Word borrow = 0;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < k; ++i) {
+    const DWord diff = static_cast<DWord>(t[i]) - n[i] - borrow;
+    out[i] = static_cast<Word>(diff);
+    borrow = static_cast<Word>(diff >> kWordBits) & 1;
   }
-  out.resize(k);
-  if (ge) {
-    Word borrow = 0;
-    for (std::size_t i = 0; i < k; ++i) {
-      const Word ti = t[offset + i];
-      const Word mi = mod_[i];
-      const Word d1 = ti - mi;
-      const Word b1 = ti < mi ? 1 : 0;
-      out[i] = d1 - borrow;
-      borrow = b1 | (d1 < borrow ? Word{1} : Word{0});
-    }
-  } else {
-    std::copy(t.begin() + static_cast<std::ptrdiff_t>(offset),
-              t.begin() + static_cast<std::ptrdiff_t>(offset + k),
-              out.begin());
-  }
+  const Word keep_t = Word{0} - static_cast<Word>(top < borrow);
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < k; ++i)
+    out[i] = (t[i] & keep_t) | (out[i] & ~keep_t);
 }
 
 BigUInt MontgomeryContext::mul(const BigUInt& a, const BigUInt& b) const {
   // montmul(a, b*R) = a*b*R*R^-1 = a*b mod n: two products, no division.
-  Words scratch;
-  Words bm(k_);
-  mont_mul(bm, to_words(b), r2_, scratch);
-  Words res(k_);
-  mont_mul(res, to_words(a), bm, scratch);
-  return from_words(res);
+  Words buf(3 * k_ + 2);
+  Word* x = buf.data();
+  Word* y = x + k_;
+  Word* t = y + k_;
+  to_words(b, y);
+  mont_mul<0>(y, y, r2_.data(), t);
+  to_words(a, x);
+  mont_mul<0>(x, x, y, t);
+  return from_words(x);
 }
 
 BigUInt MontgomeryContext::sqr(const BigUInt& a) const {
   // mont_sqr(a) = a^2 * R^-1; one multiply by R^2 restores plain form.
-  Words scratch;
-  Words res(k_);
-  mont_sqr(res, to_words(a), scratch);
-  mont_mul(res, res, r2_, scratch);
-  return from_words(res);
+  Words buf(3 * k_ + 1);
+  Word* x = buf.data();
+  Word* t = x + k_;
+  to_words(a, x);
+  mont_sqr<0>(x, x, t);
+  mont_mul<0>(x, x, r2_.data(), t);
+  return from_words(x);
 }
 
-BigUInt MontgomeryContext::mod_exp(const BigUInt& base,
-                                   const BigUInt& exp) const {
+template <std::size_t K>
+BigUInt MontgomeryContext::exp_impl(const BigUInt& base,
+                                    const BigUInt& exp) const {
   if (exp.is_zero()) return BigUInt(1);
-
-  Words scratch;
-  // Window table: table[w] = base^w in Montgomery form, w in [0, 16).
-  constexpr std::size_t kWindow = 4;
-  std::array<Words, std::size_t{1} << kWindow> table;
-  table[0] = one_mont_;
-  table[1].assign(k_, 0);
-  mont_mul(table[1], to_words(base), r2_, scratch);
-  for (std::size_t w = 2; w < table.size(); ++w) {
-    table[w].assign(k_, 0);
-    mont_mul(table[w], table[w - 1], table[1], scratch);
-  }
-
+  const std::size_t k = K != 0 ? K : k_;
   const std::size_t bits = exp.bit_length();
-  const std::size_t windows = (bits + kWindow - 1) / kWindow;
-  Words result;
+  const std::size_t window = window_bits(bits);
+  const std::size_t entries = std::size_t{1} << window;
+
+  // table[w] = base^w in Montgomery form for w in [1, entries), then the
+  // accumulator; the runtime width adds kernel scratch behind them.
+  std::array<Word, (K << kMaxWindow) + K> fixed;
+  std::vector<Word> heap;
+  Word* table = fixed.data();
+  Word* t = nullptr;
+  if constexpr (K == 0) {
+    heap.resize(k * (entries + 1) + 2 * k + 1);
+    table = heap.data();
+    t = table + k * (entries + 1);
+  }
+  Word* acc = table + k * entries;
+
+  to_words(base, acc);
+  mont_mul<K>(table + k, acc, r2_.data(), t);
+  for (std::size_t w = 2; w < entries; ++w)
+    mont_mul<K>(table + w * k, table + (w - 1) * k, table + k, t);
+
+  const std::size_t windows = (bits + window - 1) / window;
   for (std::size_t w = windows; w-- > 0;) {
-    std::uint32_t wv = 0;
-    for (std::size_t b = kWindow; b-- > 0;)
-      wv = (wv << 1) | static_cast<std::uint32_t>(exp.bit(w * kWindow + b));
+    std::size_t wv = 0;
+    for (std::size_t b = window; b-- > 0;)
+      wv = (wv << 1) | static_cast<std::size_t>(exp.bit(w * window + b));
     if (w == windows - 1) {
-      result = table[wv];  // top window: skip squaring R mod n
+      std::copy_n(table + wv * k, k, acc);  // top window: skip squaring R mod n
       continue;
     }
-    for (std::size_t s = 0; s < kWindow; ++s)
-      mont_sqr(result, result, scratch);
-    if (wv != 0) mont_mul(result, result, table[wv], scratch);
+    for (std::size_t s = 0; s < window; ++s) mont_sqr<K>(acc, acc, t);
+    if (wv != 0) mont_mul<K>(acc, acc, table + wv * k, t);
   }
 
-  mont_mul(result, result, one_, scratch);  // leave Montgomery form
-  return from_words(result);
+  mont_mul<K>(acc, acc, one_.data(), t);  // leave Montgomery form
+  return from_words(acc);
 }
 
 BigUInt BigUInt::gcd(BigUInt a, BigUInt b) {

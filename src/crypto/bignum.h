@@ -110,20 +110,46 @@ class BigUInt {
 /// BigUInt keeps 32-bit limbs for verifiability; the context repacks
 /// operands into 64-bit words internally (when the compiler provides a
 /// 128-bit accumulator) which quarters the multiply count of every pass.
+/// The constructor picks the exponentiation kernel once: a fully unrolled,
+/// allocation-free one for 256-, 384-, 512- and 768-bit moduli (RSA-512 and
+/// RSA-768 keys and their CRT primes, RSA-1024's primes), a runtime-width
+/// loop for every other size.
 ///
-/// Build one context per modulus and reuse it across every exponentiation
-/// with that modulus (RSA reuses one per CRT prime; Miller–Rabin reuses one
-/// per candidate across all witness rounds).
+/// Building a context costs a long division (R^2 mod n), so RSA takes its
+/// contexts from cached(), once per key and thread; Miller–Rabin builds one
+/// per candidate and reuses it across all witness rounds.
 class MontgomeryContext {
  public:
+  /// Contexts one thread's cache holds: every modulus and CRT prime of the
+  /// largest benchmarked deployment (41 keys, 123 contexts) with room to
+  /// spare.
+  static constexpr std::size_t kCacheCapacity = 256;
+
   /// Throws CryptoError unless `modulus` is odd and > 1.
   explicit MontgomeryContext(const BigUInt& modulus);
 
-  [[nodiscard]] const BigUInt& modulus() const { return n_; }
+  /// The calling thread's context for `modulus` (odd, > 1), built on the
+  /// first lookup and kept in a least-recently-used set of kCacheCapacity
+  /// entries. Entries are found by the modulus's low 64 bits and confirmed
+  /// on the full modulus. The reference stays valid until kCacheCapacity
+  /// other moduli have been looked up on this thread, so one operation may
+  /// hold several (the CRT primes p and q).
+  static const MontgomeryContext& cached(const BigUInt& modulus);
 
-  /// (base ^ exp) mod n. Fixed 4-bit-window left-to-right exponentiation
-  /// entirely in Montgomery form.
-  [[nodiscard]] BigUInt mod_exp(const BigUInt& base, const BigUInt& exp) const;
+  /// Window width mod_exp uses for an exponent of `exp_bits` bits: 1 (a
+  /// plain square-and-multiply ladder, no table) up to 32 bits, then wider
+  /// tables as the exponent grows.
+  static std::size_t window_bits(std::size_t exp_bits);
+
+  [[nodiscard]] const BigUInt& modulus() const { return n_; }
+  /// Whether mod_exp runs a fixed-width (unrolled) kernel for this modulus.
+  [[nodiscard]] bool fixed_width() const;
+
+  /// (base ^ exp) mod n. Left-to-right fixed-window exponentiation entirely
+  /// in Montgomery form, window width from window_bits().
+  [[nodiscard]] BigUInt mod_exp(const BigUInt& base, const BigUInt& exp) const {
+    return (this->*exp_)(base, exp);
+  }
   /// (a * b) mod n.
   [[nodiscard]] BigUInt mul(const BigUInt& a, const BigUInt& b) const;
   /// (a * a) mod n.
@@ -141,26 +167,35 @@ class MontgomeryContext {
   static constexpr std::size_t kLimbsPerWord = sizeof(Word) / sizeof(std::uint32_t);
   using Words = std::vector<Word>;
 
-  /// out = a · b · R^-1 mod n (CIOS). `out` may alias `a` or `b`; `t` is
-  /// caller-provided scratch so hot loops reuse one allocation.
-  void mont_mul(Words& out, const Words& a, const Words& b, Words& t) const;
+  /// mod_exp over exactly K words, or over k_ words when K is 0.
+  template <std::size_t K>
+  [[nodiscard]] BigUInt exp_impl(const BigUInt& base, const BigUInt& exp) const;
+
+  /// out = a · b · R^-1 mod n, K words (k_ when K is 0). `out` may alias
+  /// `a` or `b`; `t` is k_ + 2 words of scratch, used only when K is 0.
+  template <std::size_t K>
+  void mont_mul(Word* out, const Word* a, const Word* b, Word* t) const;
   /// out = a · a · R^-1 mod n. Dedicated squaring: computes the upper
   /// triangle once and doubles it, roughly 25% cheaper than mont_mul on the
-  /// squaring-dominated exponentiation ladder. `out` may alias `a`.
-  void mont_sqr(Words& out, const Words& a, Words& t) const;
-  /// Shared tail of mont_mul/mont_sqr: result (≤ 2n-1) to canonical form.
-  void final_reduce(Words& out, const Words& t, std::size_t offset,
-                    Word top) const;
+  /// squaring-dominated exponentiation ladder. `out` may alias `a`; `t` is
+  /// 2·k_ + 1 words of scratch, used only when K is 0.
+  template <std::size_t K>
+  void mont_sqr(Word* out, const Word* a, Word* t) const;
+  /// Shared tail of mont_mul/mont_sqr: (top:t), which is below 2n, to
+  /// canonical form without a data-dependent branch.
+  template <std::size_t K>
+  void final_reduce(Word* out, const Word* t, Word top) const;
   /// Reduce v mod n and repack its 32-bit limbs into exactly k words.
-  [[nodiscard]] Words to_words(const BigUInt& v) const;
-  [[nodiscard]] static BigUInt from_words(const Words& v);
+  void to_words(const BigUInt& v, Word* out) const;
+  [[nodiscard]] BigUInt from_words(const Word* v) const;
 
   BigUInt n_;
   Words mod_;       ///< n as exactly k words
   Words r2_;        ///< R^2 mod n (Montgomery form of R)
-  Words one_mont_;  ///< R mod n (Montgomery form of 1)
   Words one_;       ///< plain 1, k words (multiplier for from-Montgomery)
   std::size_t k_ = 0;
   Word n0_inv_ = 0;  ///< -n^-1 mod 2^W
+  /// exp_impl instance chosen by the constructor.
+  BigUInt (MontgomeryContext::*exp_)(const BigUInt&, const BigUInt&) const;
 };
 }  // namespace mykil::crypto

@@ -21,13 +21,14 @@ const Bytes& empty_label_hash() {
 bool g_blinding_enabled = false;
 
 // CRT exponentiation: m = c^d mod n using the private key's p/q halves.
-// One Montgomery context per prime carries the whole half-exponentiation;
-// the recombination below is a handful of full-width ops and stays plain.
+// Each half runs on its prime's cached Montgomery context (built once per
+// key and thread, and reducing c itself); the recombination below is a
+// handful of full-width ops and stays plain.
 BigUInt crt_core(const RsaPrivateKey& priv, const BigUInt& c) {
-  MontgomeryContext ctx_p(priv.p);
-  MontgomeryContext ctx_q(priv.q);
-  BigUInt m1 = ctx_p.mod_exp(c % priv.p, priv.dp);
-  BigUInt m2 = ctx_q.mod_exp(c % priv.q, priv.dq);
+  const MontgomeryContext& ctx_p = MontgomeryContext::cached(priv.p);
+  const MontgomeryContext& ctx_q = MontgomeryContext::cached(priv.q);
+  BigUInt m1 = ctx_p.mod_exp(c, priv.dp);
+  BigUInt m2 = ctx_q.mod_exp(c, priv.dq);
   // h = qinv * (m1 - m2) mod p, careful with unsigned subtraction.
   BigUInt diff = (m1 >= m2) ? (m1 - m2) : (priv.p - ((m2 - m1) % priv.p)) % priv.p;
   BigUInt h = (priv.qinv * diff) % priv.p;

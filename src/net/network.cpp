@@ -199,13 +199,14 @@ void Network::set_workers(unsigned n) {
   if (n == workers_) return;
   stop_workers();
   workers_ = n;
-  // Spin-then-block barrier tuning: spinning only pays when workers can
-  // actually run concurrently with the coordinator. On a single hardware
-  // thread the spin would steal the CPU the work needs, so block at once.
-  spin_limit_ = std::thread::hardware_concurrency() >= 2 ? 4000 : 0;
+  // Spin-then-block barrier tuning: spinning only pays when every spinner
+  // (the coordinator and its n - 1 pool threads) has a core of its own.
+  // Otherwise a spin steals the CPU the work needs, so block at once.
+  spin_limit_ = std::thread::hardware_concurrency() >= n ? 4000 : 0;
   if (n >= 2) {
-    threads_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
+    // The coordinator drains shards as worker 0 (run_epoch).
+    threads_.reserve(n - 1);
+    for (unsigned i = 1; i < n; ++i)
       threads_.emplace_back([this, i] { worker_main(i); });
   }
 }
@@ -833,6 +834,7 @@ void Network::run_epoch(SimTime cap) {
     std::lock_guard<std::mutex> lk(pool_mu_);
     work_cv_.notify_all();
   }
+  drain_claimed(cap);  // the coordinator is worker 0
   for (unsigned i = 0; i < spin_limit_; ++i) {
     if (running_.load(std::memory_order_acquire) == 0) return;
     cpu_relax();
@@ -842,6 +844,18 @@ void Network::run_epoch(SimTime cap) {
   done_cv_.wait(lk,
                 [&] { return running_.load(std::memory_order_seq_cst) == 0; });
   coord_waiting_.store(false, std::memory_order_relaxed);
+}
+
+void Network::drain_claimed(SimTime cap) {
+  // Claim active shards through the shared cursor: pure dynamic load
+  // balancing. WHICH worker drains a shard is irrelevant to the
+  // schedule — all shard state is shard-local — so stealing is free.
+  for (;;) {
+    std::size_t i = work_cursor_.fetch_add(1, std::memory_order_relaxed);
+    if (i >= active_shards_.size()) return;
+    Shard& sh = *active_shards_[i];
+    sh.processed = drain_shard(sh, cap, /*buffered=*/true);
+  }
 }
 
 void Network::worker_main(unsigned) {
@@ -869,16 +883,7 @@ void Network::worker_main(unsigned) {
     }
     if (shutdown_.load(std::memory_order_relaxed)) return;
     seen = e;
-    SimTime cap = epoch_cap_;
-    // Claim active shards through the shared cursor: pure dynamic load
-    // balancing. WHICH worker drains a shard is irrelevant to the
-    // schedule — all shard state is shard-local — so stealing is free.
-    for (;;) {
-      std::size_t i = work_cursor_.fetch_add(1, std::memory_order_relaxed);
-      if (i >= active_shards_.size()) break;
-      Shard& sh = *active_shards_[i];
-      sh.processed = drain_shard(sh, cap, /*buffered=*/true);
-    }
+    drain_claimed(epoch_cap_);
     if (running_.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
         coord_waiting_.load(std::memory_order_seq_cst)) {
       std::lock_guard<std::mutex> lk(pool_mu_);

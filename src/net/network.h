@@ -517,6 +517,8 @@ class Network {
   std::size_t run_sequential(SimTime deadline, std::size_t max_events);
   std::size_t run_parallel(SimTime deadline);
   void run_epoch(SimTime cap);  ///< dispatch one window to the worker pool
+  /// Drain active shards claimed from work_cursor_ until none is left.
+  void drain_claimed(SimTime cap);
   void worker_main(unsigned index);
   void stop_workers();
   /// Coordinator-side arena growth: reserve pool/heap headroom for the
@@ -552,15 +554,16 @@ class Network {
 
   NetStats stats_;
 
-  // Worker pool (set_workers >= 2): persistent threads synchronized by an
-  // atomic epoch counter with a spin-then-block barrier. The coordinator
-  // publishes the window cap and the active-shard list, release-stores the
-  // epoch, and acquire-waits for running_ to hit zero; those two atomics
+  // Worker pool (set_workers(n), n >= 2): n - 1 persistent threads plus
+  // the coordinator as worker 0, synchronized by an atomic epoch counter
+  // with a spin-then-block barrier. The coordinator publishes the window
+  // cap and the active-shard list, release-stores the epoch, drains shards
+  // itself, and acquire-waits for running_ to hit zero; those two atomics
   // are the memory barrier that publishes shard state in both directions.
-  // Workers spin briefly (only on multi-core hosts) before falling back to
-  // the condition variables, so back-to-back windows cost no futex round
-  // trips. Workers claim shards from active_shards_ through an atomic
-  // cursor — dynamic load balancing instead of the old static striding.
+  // Workers spin briefly (only when the host has a core per worker) before
+  // falling back to the condition variables, so back-to-back windows cost
+  // no futex round trips. Every worker claims shards from active_shards_
+  // through an atomic cursor — dynamic load balancing.
   unsigned workers_ = 1;
   std::vector<std::thread> threads_;
   std::mutex pool_mu_;
@@ -572,7 +575,7 @@ class Network {
   SimTime epoch_cap_ = 0;  ///< published by the epoch_ release store
   std::vector<Shard*> active_shards_;  ///< shards with work this window
   std::atomic<std::size_t> work_cursor_{0};
-  unsigned spin_limit_ = 0;  ///< barrier spin iterations; 0 on 1-core hosts
+  unsigned spin_limit_ = 0;  ///< barrier spin iterations; 0 when cores < workers
   std::atomic<unsigned> sleepers_{0};      ///< workers blocked on work_cv_
   std::atomic<bool> coord_waiting_{false};  ///< coordinator blocked on done_cv_
 

@@ -4,6 +4,9 @@
 // implementation built on the oracle.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "common/error.h"
 #include "crypto/bignum.h"
 #include "crypto/prng.h"
@@ -125,6 +128,126 @@ TEST(Montgomery, FermatAtRsaSize) {
   MontgomeryContext ctx(p);
   EXPECT_EQ(ctx.mod_exp(BigUInt(2), p - BigUInt(1)), BigUInt(1));
 }
+
+// Fixed-width kernels and exponent-sized windows. Widths are in 64-bit
+// words: 4, 6, 8 and 12 (RSA-512/768 moduli and CRT halves, RSA-1024's
+// halves) run unrolled kernels; 1, 3, 5 and 16 take the runtime-width loop.
+// Every exponentiation writes each product over one of its own inputs
+// (acc = acc * acc, acc = acc * table[w]), so these cases also cover
+// `out` aliasing an input in both kernel kinds.
+
+constexpr std::size_t kFixedWidths[] = {4, 6, 8, 12};
+
+bool is_fixed_width(std::size_t words) {
+  for (std::size_t w : kFixedWidths)
+    if (w == words) return true;
+  return false;
+}
+
+/// Random odd modulus of exactly 64 * words bits.
+BigUInt random_modulus_words(std::size_t words, Prng& prng) {
+  return random_odd_modulus(64 * words, prng);
+}
+
+/// Odd modulus whose top 64-bit word is all ones.
+BigUInt top_word_all_ones(std::size_t words, Prng& prng) {
+  const BigUInt top = BigUInt(0xFFFFFFFFFFFFFFFFull) << (64 * (words - 1));
+  if (words == 1) return top;
+  BigUInt low = BigUInt::random_with_bits(64 * (words - 1), prng);
+  if (low.is_even()) low += BigUInt(1);
+  return top + low;
+}
+
+/// 2^(64k - 1) + 1: top bit and bit 0 only.
+BigUInt sparse_modulus(std::size_t words) {
+  return (BigUInt(1) << (64 * words - 1)) + BigUInt(1);
+}
+
+TEST(Montgomery, WindowWidthFollowsExponentSize) {
+  EXPECT_EQ(MontgomeryContext::window_bits(1), 1u);
+  EXPECT_EQ(MontgomeryContext::window_bits(17), 1u);  // e = 65537
+  EXPECT_EQ(MontgomeryContext::window_bits(32), 1u);
+  EXPECT_EQ(MontgomeryContext::window_bits(33), 3u);
+  EXPECT_EQ(MontgomeryContext::window_bits(79), 3u);
+  EXPECT_EQ(MontgomeryContext::window_bits(80), 4u);
+  EXPECT_EQ(MontgomeryContext::window_bits(239), 4u);
+  EXPECT_EQ(MontgomeryContext::window_bits(240), 5u);
+  EXPECT_EQ(MontgomeryContext::window_bits(384), 5u);  // RSA-768 CRT
+  EXPECT_EQ(MontgomeryContext::window_bits(4096), 5u);
+}
+
+TEST(Montgomery, KernelChosenByWordCount) {
+  Prng prng(401);
+  for (std::size_t words : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u, 12u, 16u, 32u}) {
+    MontgomeryContext ctx(random_modulus_words(words, prng));
+    EXPECT_EQ(ctx.fixed_width(), is_fixed_width(words)) << words;
+  }
+  // Bit length, not limb storage, sets the width: a 383-bit modulus still
+  // fills 6 words.
+  EXPECT_TRUE(MontgomeryContext(random_odd_modulus(383, prng)).fixed_width());
+  EXPECT_FALSE(MontgomeryContext(random_odd_modulus(385, prng)).fixed_width());
+}
+
+class MontgomeryWidth : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  /// Random moduli plus the two edge shapes, all of GetParam() words.
+  std::vector<BigUInt> moduli(Prng& prng) const {
+    const std::size_t words = GetParam();
+    return {random_modulus_words(words, prng), random_modulus_words(words, prng),
+            top_word_all_ones(words, prng), sparse_modulus(words)};
+  }
+};
+
+TEST_P(MontgomeryWidth, FullWidthExponentsMatchOracle) {
+  Prng prng(500 + GetParam());
+  for (const BigUInt& m : moduli(prng)) {
+    MontgomeryContext ctx(m);
+    ASSERT_EQ(ctx.fixed_width(), is_fixed_width(GetParam()));
+    const BigUInt exp = BigUInt::random_with_bits(m.bit_length(), prng);
+    // Bases below n, above n (reduced first), n - 1 and n - 2.
+    for (const BigUInt& base :
+         {BigUInt::random_below(m, prng),
+          BigUInt::random_with_bits(m.bit_length() + 7, prng),
+          m - BigUInt(1), m - BigUInt(2)}) {
+      EXPECT_EQ(ctx.mod_exp(base, exp), BigUInt::mod_exp(base, exp, m))
+          << "m=" << m.to_decimal();
+    }
+  }
+}
+
+TEST_P(MontgomeryWidth, ShortExponentsStraddleWindowThresholds) {
+  Prng prng(600 + GetParam());
+  for (const BigUInt& m : moduli(prng)) {
+    MontgomeryContext ctx(m);
+    const BigUInt base = BigUInt::random_below(m, prng);
+    EXPECT_EQ(ctx.mod_exp(base, BigUInt(65537)),
+              BigUInt::mod_exp(base, BigUInt(65537), m));
+    for (std::size_t bits : {1u, 2u, 17u, 31u, 32u, 33u, 64u, 79u, 80u, 239u, 240u}) {
+      const BigUInt exp = BigUInt::random_with_bits(bits, prng);
+      EXPECT_EQ(ctx.mod_exp(base, exp), BigUInt::mod_exp(base, exp, m))
+          << "bits=" << bits << " m=" << m.to_decimal();
+    }
+  }
+}
+
+TEST_P(MontgomeryWidth, CachedContextMatchesFreshOne) {
+  Prng prng(700 + GetParam());
+  for (const BigUInt& m : moduli(prng)) {
+    const MontgomeryContext& cached = MontgomeryContext::cached(m);
+    EXPECT_EQ(&cached, &MontgomeryContext::cached(m));  // one per modulus
+    EXPECT_EQ(cached.modulus(), m);
+    const BigUInt base = BigUInt::random_below(m, prng);
+    const BigUInt exp = BigUInt::random_with_bits(96, prng);
+    EXPECT_EQ(cached.mod_exp(base, exp), MontgomeryContext(m).mod_exp(base, exp));
+    EXPECT_EQ(BigUInt::mod_exp_mont(base, exp, m), BigUInt::mod_exp(base, exp, m));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Words, MontgomeryWidth,
+                         ::testing::Values(1, 3, 4, 5, 6, 8, 12, 16),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "w" + std::to_string(info.param);
+                         });
 
 /// Reference Miller–Rabin built directly on the legacy oracle (its own
 /// witness stream; verdicts agree with overwhelming probability).
