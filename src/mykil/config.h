@@ -80,7 +80,8 @@ struct MykilConfig {
   /// Client-side spacing between KeyRecoveryRequest retries.
   net::SimDuration key_recovery_interval = net::msec(500);
   /// AC-side per-member rate limit on key-recovery answers (each answer
-  /// costs a public-key encryption; this bounds what a confused or
+  /// costs an RSA signature, a private-key operation ~10x dearer than the
+  /// public-key encryption that seals it; this bounds what a confused or
   /// malicious member can extract).
   net::SimDuration key_recovery_min_interval = net::msec(200);
 

@@ -1,6 +1,7 @@
 #include "mykil/member.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "crypto/sealed.h"
@@ -182,6 +183,7 @@ void Member::handle_join_step7(const net::Message& msg) {
   keys_.install(path);
   area_epoch_ = epoch;
   recovery_pending_ = false;
+  discard_held();
   network().join_group(group, id());
   joined_ = true;
   join_in_progress_ = false;
@@ -277,6 +279,7 @@ void Member::handle_rejoin_step6(const net::Message& msg) {
   keys_.install(path);
   area_epoch_ = epoch;
   recovery_pending_ = false;
+  discard_held();
   network().join_group(group, id());
   joined_ = true;
   rejoin_in_progress_ = false;
@@ -306,6 +309,7 @@ void Member::leave() {
   send_ctrl(ac_node_, kLabelJoin, envelope(MsgType::kLeaveRequest, w.data()));
   network().leave_group(area_group_, id());
   keys_.clear();
+  discard_held();
   joined_ = false;
 }
 
@@ -347,26 +351,18 @@ void Member::handle_rekey(const net::Message& msg) {
   if (!directory_.verify(ac_id_, env.box, env.sig)) return;
   lkh::RekeyMessage rk = lkh::RekeyMessage::deserialize(env.box);
 
-  if (!config_.reliable_control) {
-    // Fire-and-forget mode: apply blindly; a stale held key makes apply
-    // throw AuthError, which the on_message catch swallows — the member
-    // silently desynchronizes (the pre-recovery behavior).
-    std::size_t applied = keys_.apply(rk);
-    if (applied > 0) {
-      ++rekeys_applied_;
-      rekey_entries_applied_ += applied;
+  // Fire-and-forget mode applies every rekey blindly and never recovers:
+  // a stale held key leaves the member silently desynchronized (the
+  // pre-recovery behavior).
+  if (config_.reliable_control) {
+    if (rk.epoch <= area_epoch_) return;  // duplicate or already caught up
+    if (rk.epoch > area_epoch_ + 1) {
+      // One or more rekey multicasts were lost; the skipped ones may have
+      // rotated keys on our own path, so entries in this message can be
+      // unreadable. Ask the AC for a sealed current-path catch-up.
+      request_key_recovery("rekey-gap");
+      return;
     }
-    if (rk.epoch > area_epoch_) area_epoch_ = rk.epoch;
-    return;
-  }
-
-  if (rk.epoch <= area_epoch_) return;  // duplicate or already caught up
-  if (rk.epoch > area_epoch_ + 1) {
-    // One or more rekey multicasts were lost; the skipped ones may have
-    // rotated keys on our own path, so entries in this message can be
-    // unreadable. Ask the AC for a sealed current-path catch-up.
-    request_key_recovery("rekey-gap");
-    return;
   }
   try {
     std::size_t applied = keys_.apply(rk);
@@ -374,13 +370,18 @@ void Member::handle_rekey(const net::Message& msg) {
       ++rekeys_applied_;
       rekey_entries_applied_ += applied;
     }
-    area_epoch_ = rk.epoch;
+    area_epoch_ = std::max(area_epoch_, rk.epoch);
   } catch (const AuthError&) {
     // A held key no longer matches what the AC encrypted under — we missed
     // an update that the epoch stream did not expose (e.g. state installed
     // via a racy path). Recover rather than desynchronize.
     request_key_recovery("stale-key");
+    return;
   }
+  // Data that overtook this rekey opens now. A held packet that still does
+  // not means we are more than one rotation behind (or its sender is).
+  retry_held(false);
+  if (!held_data_.empty()) request_key_recovery("undecryptable-data");
 }
 
 void Member::handle_split_update(const net::Message& msg) {
@@ -399,31 +400,59 @@ void Member::handle_data(const net::Message& msg, ByteView box) {
   r.expect_done();
   if (!seen_data_.insert(msg_id)) return;
 
-  auto open_key = [&]() -> std::optional<crypto::SymmetricKey> {
-    try {
-      return crypto::SymmetricKey(
-          data_plane_for(keys_.group_key()).open(key_box));
-    } catch (const AuthError&) {
-    }
-    if (keys_.previous_group_key()) {
-      try {
-        return crypto::SymmetricKey(
-            data_plane_for(*keys_.previous_group_key()).open(key_box));
-      } catch (const AuthError&) {
-      }
-    }
-    return std::nullopt;
-  };
-
-  auto data_key = open_key();
-  if (!data_key) {
-    ++undecryptable_count_;
-    // Data sealed under a group key we don't hold means we are behind the
-    // rekey stream (or the sender is); a catch-up resolves the former.
-    request_key_recovery("undecryptable-data");
+  if (auto plain = try_open(key_box, payload_box)) {
+    received_data_.push_back(std::move(*plain));
     return;
   }
-  received_data_.push_back(crypto::sym_open(*data_key, payload_box));
+  // Sealed under a group key we do not hold. An AC flushes its rekeys just
+  // before it re-seals forwarded data (Section III-E), so both leave at
+  // once and the smaller data packet can arrive first: hold it for the
+  // rekey in flight. The next rekey, or the watchdog, asks for a catch-up
+  // if the packet stays unreadable.
+  if (held_data_.size() == kMaxHeldData) {
+    held_data_.erase(held_data_.begin());
+    ++undecryptable_count_;
+  }
+  held_data_.push_back({msg.payload, key_box, payload_box});
+  if (auto* m = network().metrics()) m->counter("member.data_held").inc();
+}
+
+std::optional<Bytes> Member::try_open(ByteView key_box,
+                                      ByteView payload_box) const {
+  auto open_with =
+      [&](const crypto::SymmetricKey& group_key) -> std::optional<Bytes> {
+    try {
+      crypto::SymmetricKey data_key(data_plane_for(group_key).open(key_box));
+      return crypto::sym_open(data_key, payload_box);
+    } catch (const Error&) {
+      return std::nullopt;
+    }
+  };
+  if (auto plain = open_with(keys_.group_key())) return plain;
+  if (const auto& previous = keys_.previous_group_key())
+    return open_with(*previous);
+  return std::nullopt;
+}
+
+void Member::retry_held(bool recovered) {
+  std::vector<HeldData> held = std::move(held_data_);
+  held_data_.clear();
+  for (HeldData& h : held) {
+    if (auto plain = try_open(h.key_box, h.payload_box)) {
+      received_data_.push_back(std::move(*plain));
+      if (auto* m = network().metrics())
+        m->counter("member.data_held_opened").inc();
+    } else if (recovered) {
+      ++undecryptable_count_;
+    } else {
+      held_data_.push_back(std::move(h));
+    }
+  }
+}
+
+void Member::discard_held() {
+  undecryptable_count_ += held_data_.size();
+  held_data_.clear();
 }
 
 void Member::handle_takeover(const net::Message& msg) {
@@ -475,7 +504,7 @@ void Member::request_key_recovery(const char* trigger) {
     t->instant(obs::EventKind::kKeyRecovery, id(), now, nic_id_, area_epoch_,
                trigger);
   if (auto* m = network().metrics())
-    m->counter("member.key_recovery_requests").inc();
+    m->counter(std::string("member.key_recovery_requests.") + trigger).inc();
 
   // {NIC id; AC id; caught-up epoch; Nonce} — plain envelope: it carries no
   // secrets, and the AC authenticates the requester by membership record +
@@ -522,6 +551,9 @@ void Member::handle_key_recovery_reply(const net::Message& msg) {
   ++key_recoveries_;
   if (auto* m = network().metrics())
     m->counter("member.key_recoveries").inc();
+  // Held data this catch-up does not open came from a sender behind the
+  // rekey stream, or is garbage.
+  retry_held(true);
 }
 
 void Member::handle_join_shed(const net::Message& msg) {
@@ -674,6 +706,10 @@ void Member::on_timer(std::uint64_t token) {
           trigger_mobility_rejoin();
         else if (now - last_recovery_request_ >= config_.key_recovery_interval)
           request_key_recovery("retry");
+      } else if (joined_ && !held_data_.empty()) {
+        // Held data whose rekey never came: it was lost, or a forger sent
+        // garbage, which then costs the AC one answer per tick at most.
+        request_key_recovery("undecryptable-data");
       }
       network().set_timer(id(), config_.t_idle, timer_token(kTimerWatchdog));
       return;
@@ -741,6 +777,7 @@ void Member::restore_state(ByteView blob) {
   join_backoff_until_ = 0;
   seen_data_.clear();
   received_data_.clear();
+  discard_held();
   data_plane_cache_.clear();
   last_heard_ac_ = network().now();  // grace period before the watchdog
   last_sent_ac_ = network().now();

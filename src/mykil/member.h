@@ -56,9 +56,18 @@ class Member : public net::Node {
   [[nodiscard]] const std::vector<Bytes>& received_data() const {
     return received_data_;
   }
+  /// Data packets this member discarded unread: held packets (see
+  /// held_count()) that an authoritative key recovery did not open, the
+  /// oldest packet pushed out of a full hold, and packets still held when
+  /// the membership ends or restarts. Every count is one packet this member
+  /// could not read.
   [[nodiscard]] std::size_t undecryptable_count() const {
     return undecryptable_count_;
   }
+  /// Data packets waiting for the rekey that carries their key
+  /// (DESIGN.md 9.2); never more than kMaxHeldData.
+  [[nodiscard]] std::size_t held_count() const { return held_data_.size(); }
+  static constexpr std::size_t kMaxHeldData = 16;
   [[nodiscard]] const Bytes& sealed_ticket() const { return sealed_ticket_; }
   [[nodiscard]] const AcDirectory& directory() const { return directory_; }
   /// Timing of the last completed join / rejoin (for the V-D benchmark).
@@ -81,7 +90,8 @@ class Member : public net::Node {
   [[nodiscard]] std::uint64_t rekey_entries_applied() const {
     return rekey_entries_applied_;
   }
-  /// Completed key-recovery catch-ups (gap or stale-key triggered).
+  /// Completed key-recovery catch-ups (gap, stale-key or held-data
+  /// triggered).
   [[nodiscard]] std::uint64_t key_recoveries() const { return key_recoveries_; }
   /// Directed migrations obeyed (split/merge rebalancing, DESIGN.md 14.2).
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
@@ -119,6 +129,15 @@ class Member : public net::Node {
   void handle_split_update(const net::Message& msg);
   /// `box` is the envelope's box, a view into msg.payload.
   void handle_data(const net::Message& msg, ByteView box);
+  /// Open a data packet's sealed data key and payload under the current or
+  /// the previous group key; nullopt when neither opens it.
+  [[nodiscard]] std::optional<Bytes> try_open(ByteView key_box,
+                                              ByteView payload_box) const;
+  /// Deliver the held packets that open now. After an authoritative key
+  /// recovery (`recovered`) the rest are discarded and counted.
+  void retry_held(bool recovered);
+  /// Discard every held packet unread: the membership it arrived in ended.
+  void discard_held();
   void handle_takeover(const net::Message& msg);
   /// RS load-shed reply to step 1: back off before retrying the join.
   void handle_join_shed(const net::Message& msg);
@@ -207,6 +226,15 @@ class Member : public net::Node {
   std::vector<Bytes> received_data_;
   IdSet seen_data_;
   std::size_t undecryptable_count_ = 0;
+  /// A data packet that opened under neither group key, usually because it
+  /// overtook the rekey carrying its key. The views point into `buf`, the
+  /// shared multicast buffer, which keeps them valid.
+  struct HeldData {
+    net::Payload buf;
+    ByteView key_box;
+    ByteView payload_box;
+  };
+  std::vector<HeldData> held_data_;  ///< FIFO, oldest first
 
   /// Two-slot cache (current + previous group key) of sealing contexts,
   /// keyed by raw key bytes. Mutable: filling it is invisible to callers.

@@ -1,6 +1,7 @@
 // Rekey gap recovery (DESIGN.md 9.2): members that miss rekey multicasts
 // detect the epoch gap — from a later rekey or from the AC's idle beacon —
 // and pull their current key path back over the reliable control plane.
+// Data that overtakes its rekey is held for it, not recovered for.
 // Forward secrecy holds throughout: non-members get no answer.
 #include <gtest/gtest.h>
 
@@ -10,6 +11,7 @@
 #include "common/error.h"
 #include "mykil/group.h"
 #include "mykil/wire.h"
+#include "obs/metrics.h"
 
 namespace mykil::core {
 namespace {
@@ -142,6 +144,173 @@ TEST(MykilRecovery, SpoofedAndWrongAreaRequestsIgnored) {
   w.group.settle(net::sec(1));
   EXPECT_EQ(w.group.ac(0).counters().key_recoveries_served, 0u);
   EXPECT_TRUE(m1->joined());  // and nobody crashed
+}
+
+std::uint64_t counter(const obs::MetricsRegistry& metrics, const char* name) {
+  const obs::Counter* c = metrics.find_counter(name);
+  return c == nullptr ? 0 : c->value();
+}
+
+/// Root area 0 and child area 1; members join round robin, so odd client
+/// ids land in the root area and even ones in the child area.
+struct TwoAreas {
+  TwoAreas(net::NetworkConfig cfg, GroupOptions opts)
+      : net(cfg), group(net, opts) {
+    net.set_metrics(&metrics);
+    group.add_area();
+    group.add_area(0);
+    group.finalize();
+  }
+  std::unique_ptr<Member> join(ClientId client) {
+    auto m = group.make_member(client, net::sec(3600));
+    group.join_member(*m, net::sec(3600));
+    return m;
+  }
+  obs::MetricsRegistry metrics;
+  net::Network net;
+  MykilGroup group;
+};
+
+TEST(MykilRecovery, DataThatOvertakesItsRekeyIsHeldNotRecovered) {
+  // A child AC flushes its batched rekey just before it re-seals parent-area
+  // data into its area (Section III-E), so both leave at once. With a
+  // per-byte link cost the smaller data packet lands first; the members
+  // must hold it for the rekey in flight instead of buying the key back.
+  net::NetworkConfig cfg = quiet_net();
+  cfg.per_byte_latency_us = 1.0;
+  GroupOptions opts = fast_options();
+  opts.config.enable_timers = false;  // no timer flushes, no watchdog
+  TwoAreas w(cfg, opts);
+  auto root_sender = w.join(1);
+  auto older_a = w.join(2);
+  auto root_other = w.join(3);
+  auto older_b = w.join(4);
+  w.group.ac(0).flush_rekeys();
+  w.group.ac(1).flush_rekeys();
+  w.group.settle();
+  auto root_late = w.join(5);  // so that the next join lands in area 1
+  w.group.ac(0).flush_rekeys();
+  w.group.settle();
+  auto newcomer = w.join(6);  // leaves a join rotation pending in area 1
+  ASSERT_EQ(newcomer->current_ac(), w.group.ac(1).ac_id());
+  ASSERT_TRUE(w.group.ac(1).update_pending());
+
+  root_sender->send_data(to_bytes("ahead of its rekey"));
+  w.group.settle();
+
+  for (Member* m : {older_a.get(), older_b.get(), newcomer.get()}) {
+    ASSERT_EQ(m->current_ac(), w.group.ac(1).ac_id());
+    ASSERT_EQ(m->received_data().size(), 1u);
+    EXPECT_EQ(to_string(m->received_data()[0]), "ahead of its rekey");
+    EXPECT_EQ(m->key_recoveries(), 0u);
+    EXPECT_EQ(m->undecryptable_count(), 0u);
+    EXPECT_EQ(m->held_count(), 0u);
+  }
+  EXPECT_EQ(w.group.ac(1).counters().key_recoveries_served, 0u);
+  // The race did happen: every child member (the newcomer too, which the
+  // pending rotation also moves) held the packet until the rekey opened it.
+  EXPECT_EQ(counter(w.metrics, "member.data_held"), 3u);
+  EXPECT_EQ(counter(w.metrics, "member.data_held_opened"), 3u);
+  for (Member* m : {root_other.get(), root_late.get()})
+    EXPECT_EQ(m->received_data().size(), 1u);
+}
+
+TEST(MykilRecovery, HeldDataBehindALostRekeyIsDeliveredAfterRecovery) {
+  // A member that really lost a rekey cannot open data sealed under the key
+  // it carried. Holding the packet must not hide the gap: the held packet
+  // asks for a catch-up, and the reply opens it.
+  TwoAreas w(quiet_net(), fast_options());
+  auto root_sender = w.join(1);
+  auto deaf = w.join(2);
+  auto root_other = w.join(3);
+  auto leaver = w.join(4);
+  w.group.settle(net::sec(1));
+  AreaController& child = w.group.ac(1);
+  ASSERT_EQ(deaf->current_ac(), child.ac_id());
+  ASSERT_EQ(leaver->current_ac(), child.ac_id());
+
+  // The deaf member misses the child area's rekey for the leave.
+  w.net.block_link(child.id(), deaf->id());
+  leaver->leave();
+  w.group.settle(net::msec(20));
+  child.flush_rekeys();
+  w.group.settle(net::msec(20));
+  w.net.unblock_link(child.id(), deaf->id());
+  ASSERT_FALSE(deaf->keys().group_key() == child.tree().root_key());
+  ASSERT_EQ(deaf->key_recoveries(), 0u);
+
+  // The child AC re-seals root-area data under the key the member lacks.
+  root_sender->send_data(to_bytes("behind a lost rekey"));
+  w.group.settle(net::msec(2));
+  EXPECT_EQ(deaf->held_count(), 1u);
+  EXPECT_TRUE(deaf->received_data().empty());
+
+  w.group.settle(net::sec(1));
+  ASSERT_EQ(deaf->received_data().size(), 1u);
+  EXPECT_EQ(to_string(deaf->received_data()[0]), "behind a lost rekey");
+  EXPECT_EQ(deaf->key_recoveries(), 1u);
+  EXPECT_EQ(deaf->undecryptable_count(), 0u);
+  EXPECT_EQ(deaf->held_count(), 0u);
+  EXPECT_TRUE(deaf->keys().group_key() == child.tree().root_key());
+  EXPECT_EQ(
+      counter(w.metrics, "member.key_recovery_requests.undecryptable-data"),
+      1u);
+  EXPECT_EQ(counter(w.metrics, "member.data_held_opened"), 1u);
+  EXPECT_EQ(root_other->received_data().size(), 1u);
+}
+
+TEST(MykilRecovery, ForgedDataWaitsForTheWatchdogAndIsDiscarded) {
+  // Garbage that opens under no key is held like data racing a rekey. It
+  // must not buy an RSA-signed answer on arrival: the member asks on its
+  // next watchdog tick, once, the hold stays bounded, and the reply
+  // discards and counts what it did not open.
+  net::Network net(quiet_net());
+  obs::MetricsRegistry metrics;
+  net.set_metrics(&metrics);
+  GroupOptions opts = fast_options();
+  MykilGroup group(net, opts);
+  group.add_area();
+  group.finalize();
+  auto victim = group.make_member(1, net::sec(3600));
+  const net::SimTime timers_armed = net.now();  // watchdog phase
+  group.join_member(*victim, net::sec(3600));
+  group.settle(net::sec(1));
+  ASSERT_TRUE(victim->joined());
+
+  // Start just after a watchdog tick that found nothing held.
+  const net::SimDuration tick = opts.config.t_idle;
+  net::SimTime next_tick =
+      timers_armed + ((net.now() - timers_armed) / tick + 1) * tick;
+  net.run_until(next_tick + net::msec(1));
+  next_tick += tick;
+
+  const std::size_t forged = Member::kMaxHeldData + 4;
+  for (std::size_t i = 0; i < forged; ++i) {
+    WireWriter w;
+    w.u64(0xF00D0000 + i);  // fresh message id
+    w.u64(99);              // claimed sender
+    w.bytes(Bytes(40, static_cast<std::uint8_t>(i)));  // "sealed" data key
+    w.bytes(Bytes(40, 0xAB));                          // "sealed" payload
+    net.multicast(group.rs().id(), group.ac(0).area_group(), "mykil-data",
+                  envelope(MsgType::kData, w.data()));
+  }
+  const char* asks = "member.key_recovery_requests.undecryptable-data";
+  net.run_until(next_tick - 1);
+  EXPECT_EQ(counter(metrics, asks), 0u);
+  EXPECT_EQ(victim->held_count(), Member::kMaxHeldData);
+  EXPECT_EQ(victim->undecryptable_count(), forged - Member::kMaxHeldData);
+
+  net.run_until(next_tick + tick - 1);  // exactly one tick
+  EXPECT_EQ(counter(metrics, asks), 1u);
+  EXPECT_EQ(group.ac(0).counters().key_recoveries_served, 1u);
+  EXPECT_EQ(victim->key_recoveries(), 1u);
+  EXPECT_EQ(victim->held_count(), 0u);
+  EXPECT_EQ(victim->undecryptable_count(), forged);
+  EXPECT_TRUE(victim->received_data().empty());
+
+  group.settle(net::sec(1));  // nothing left to ask about
+  EXPECT_EQ(counter(metrics, asks), 1u);
+  EXPECT_TRUE(victim->joined());
 }
 
 }  // namespace
