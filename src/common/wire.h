@@ -66,6 +66,9 @@ class WireReader {
   std::string str();
   /// Exactly `n` raw bytes.
   Bytes raw(std::size_t n);
+  /// Everything not yet read, as a view into the reader's buffer; consumes
+  /// it (a nested format that fills the rest of a message).
+  ByteView rest() { return take(remaining()); }
 
   [[nodiscard]] std::size_t remaining() const { return data_.size() - pos_; }
   [[nodiscard]] bool done() const { return remaining() == 0; }

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "crypto/sealed.h"
+#include "mykil/messages.h"
 
 namespace mykil::core {
 
@@ -28,9 +29,6 @@ constexpr std::uint64_t kTimerHeartbeat = 4;
 constexpr std::uint64_t kTimerBackupWatch = 5;
 constexpr std::uint64_t kTimerLoadReport = 6;
 constexpr std::uint64_t kTimerMigrate = 7;
-
-constexpr std::uint8_t kAliveFromAc = 0;
-constexpr std::uint8_t kAliveFromMember = 1;
 
 /// Open a box under `current` falling back to `prev`; nullopt if neither.
 std::optional<Bytes> open_fallback(const crypto::SymmetricKey& current,
@@ -220,8 +218,7 @@ void AreaController::emit_rekey(lkh::RekeyMessage msg,
   // application is guarded by per-entry key versions, not the epoch, so
   // overwriting whatever the tree layer put here is safe.
   msg.epoch = stream_epoch(++rekey_epoch_);
-  Bytes payload =
-      signed_envelope(MsgType::kRekey, msg.serialize(), keypair_.priv);
+  Bytes payload = wrap(Rekey{.rekey = {std::move(msg)}}, keypair_.priv);
   if (auto* t = network().tracer()) {
     if (batched_leaves > 0)
       t->instant(obs::EventKind::kBatchFlush, id(), network().now(),
@@ -295,15 +292,10 @@ std::vector<lkh::PathKey> AreaController::admit(ClientId client,
   if (out.split) {
     auto moved = members_.find(out.split_member);
     if (moved != members_.end()) {
-      crypto::RsaPublicKey moved_pub =
-          crypto::RsaPublicKey::deserialize(moved->second.pubkey);
-      send_ctrl(
-          moved->second.node, kLabelRekey,
-          envelope(MsgType::kSplitUpdate,
-                   crypto::pk_encrypt(
-                       moved_pub,
-                       with_mac(lkh::serialize_path(out.split_member_update)),
-                       prng_)));
+      send_ctrl(moved->second.node, kLabelRekey,
+                wrap(SplitUpdate{.path = {out.split_member_update}},
+                     crypto::RsaPublicKey::deserialize(moved->second.pubkey),
+                     prng_));
     }
   }
 
@@ -339,44 +331,28 @@ void AreaController::schedule_leave(ClientId client) {
 
 // ----------------------------------------------------------- join protocol
 
-void AreaController::handle_join_step4(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
+void AreaController::handle_join_step4(const EnvelopeView& env) {
   // Signed by the registration server; verify before trusting anything.
   if (!verify_envelope(env, rs_pub_)) return;
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t nonce_ac = r.u64();
-  ClientId client_id = r.u64();
-  net::SimTime ts = r.u64();
-  Bytes client_pubkey = r.bytes();
-  net::SimDuration duration = r.u64();
-  r.expect_done();
-  if (!ts_fresh(ts)) return;  // replay (the paper's Timestamp check)
-
-  PendingJoin pj;
-  pj.client_id = client_id;
-  pj.client_pubkey = std::move(client_pubkey);
-  pj.duration = duration;
-  pending_joins_[nonce_ac + 2] = std::move(pj);
+  auto intro = unwrap<JoinStep4>(env, keypair_.priv);
+  if (!ts_fresh(intro.ts)) return;  // replay (the paper's Timestamp check)
+  std::uint64_t nonce_response = intro.nonce_ac + 2;
+  pending_joins_[nonce_response] = std::move(intro);
 
   // Under network reordering the client's step 6 can arrive before this
   // introduction; if it is parked, complete the join now.
-  auto early = early_step6_.find(nonce_ac + 2);
+  auto early = early_step6_.find(nonce_response);
   if (early != early_step6_.end()) {
     EarlyStep6 e = early->second;
     early_step6_.erase(early);
-    complete_join(nonce_ac + 2, e.client_node, e.nonce_ca);
+    complete_join(nonce_response, e.client_node, e.nonce_ca);
   }
 }
 
-void AreaController::handle_join_step6(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t nonce_response = r.u64();
-  std::uint64_t nonce_ca = r.u64();
-  r.expect_done();
-  complete_join(nonce_response, msg.from, nonce_ca);
+void AreaController::handle_join_step6(const net::Message& msg,
+                                       const EnvelopeView& env) {
+  auto step = unwrap<JoinStep6>(env, keypair_.priv);
+  complete_join(step.nonce_ac_plus2, msg.from, step.nonce_ca);
 }
 
 void AreaController::complete_join(std::uint64_t nonce_response,
@@ -390,48 +366,36 @@ void AreaController::complete_join(std::uint64_t nonce_response,
     early_step6_[nonce_response] = {client_node, nonce_ca};
     return;
   }
-  PendingJoin pj = std::move(it->second);
+  JoinStep4 intro = std::move(it->second);
   pending_joins_.erase(it);
 
   std::vector<lkh::PathKey> path =
-      admit(pj.client_id, client_node, pj.client_pubkey);
+      admit(intro.client_id, client_node, intro.client_pubkey);
   net::SimTime now = network().now();
-  Bytes sealed = issue_ticket(pj.client_id, pj.client_pubkey, now,
-                              now + pj.duration);
-  members_[pj.client_id].sealed_ticket = sealed;
-  members_[pj.client_id].valid_until = now + pj.duration;
+  Bytes sealed = issue_ticket(intro.client_id, intro.client_pubkey, now,
+                              now + intro.duration);
+  members_[intro.client_id].sealed_ticket = sealed;
+  members_[intro.client_id].valid_until = now + intro.duration;
 
-  // Step 7: {Nonce_CA+1; ticket; [aux-keys]; MAC}_Pub_k. pk_encrypt goes
-  // hybrid automatically — the paper's one-time-symmetric-key workaround.
-  WireWriter w;
-  w.u64(nonce_ca + 1);
-  w.bytes(sealed);
-  w.u64(ac_id_);
-  w.u32(area_group_);
-  w.bytes(lkh::serialize_path(path));
-  w.u64(stream_epoch(rekey_epoch_));  // rekey-stream entry point
-  crypto::RsaPublicKey client_pub =
-      crypto::RsaPublicKey::deserialize(members_[pj.client_id].pubkey);
+  // Step 7. pk_encrypt goes hybrid automatically — the paper's
+  // one-time-symmetric-key workaround.
   send_ctrl(client_node, kLabelJoin,
-            envelope(MsgType::kJoinStep7,
-                     crypto::pk_encrypt(client_pub, with_mac(w.data()),
-                                        prng_)));
+            wrap(JoinStep7{.nonce_ca_plus1 = nonce_ca + 1, .ticket = sealed,
+                           .ac_id = ac_id_, .group = area_group_, .path = path,
+                           .epoch = stream_epoch(rekey_epoch_)},
+                 crypto::RsaPublicKey::deserialize(
+                     members_[intro.client_id].pubkey),
+                 prng_));
   ++counters_.joins;
   sync_backup();
 }
 
 // --------------------------------------------------------- rejoin protocol
 
-void AreaController::handle_rejoin_step1(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t nonce_cb = r.u64();
-  ClientId claimed_nic = r.u64();
-  Bytes sealed_ticket = r.bytes();
-  r.expect_done();
-
-  Ticket ticket = open_ticket(sealed_ticket, k_shared_, network().now());
+void AreaController::handle_rejoin_step1(const net::Message& msg,
+                                         const EnvelopeView& env) {
+  auto step = unwrap<RejoinStep1>(env, keypair_.priv);
+  Ticket ticket = open_ticket(step.ticket, k_shared_, network().now());
 
   // AC-side verify span: ticket opened -> admission decision. Paired with
   // the span_end in admit_rejoin/deny_rejoin by (kind, client id).
@@ -442,29 +406,20 @@ void AreaController::handle_rejoin_step1(const net::Message& msg) {
   std::uint64_t nonce_bc = prng_.next_u64();
   PendingRejoin pr;
   pr.client_node = msg.from;
-  pr.claimed_nic = claimed_nic;
+  pr.claimed_nic = step.client_id;
   pr.ticket = ticket;
   pending_rejoins_[nonce_bc + 1] = std::move(pr);
 
-  WireWriter w;
-  w.u64(nonce_cb + 1);
-  w.u64(nonce_bc);
-  crypto::RsaPublicKey client_pub =
-      crypto::RsaPublicKey::deserialize(ticket.member_pubkey);
   send_ctrl(msg.from, kLabelRejoin,
-            envelope(MsgType::kRejoinStep2,
-                     crypto::pk_encrypt(client_pub, with_mac(w.data()),
-                                        prng_)));
+            wrap(RejoinStep2{.nonce_cb_plus1 = step.nonce_cb + 1,
+                             .nonce_bc = nonce_bc},
+                 crypto::RsaPublicKey::deserialize(ticket.member_pubkey),
+                 prng_));
 }
 
-void AreaController::handle_rejoin_step3(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t response = r.u64();
-  r.expect_done();
-
-  auto it = pending_rejoins_.find(response);
+void AreaController::handle_rejoin_step3(const EnvelopeView& env) {
+  auto step = unwrap<RejoinStep3>(env, keypair_.priv);
+  auto it = pending_rejoins_.find(step.nonce_bc_plus1);
   if (it == pending_rejoins_.end()) return;
   PendingRejoin pr = std::move(it->second);
   pending_rejoins_.erase(it);
@@ -504,16 +459,12 @@ void AreaController::handle_rejoin_step3(const net::Message& msg) {
   }
 
   // Steps 4–5: ask AC_A whether the client has really left.
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u64(s.ticket.member_id);
-  w.u64(network().now());
-  crypto::RsaPublicKey aca_pub = crypto::RsaPublicKey::deserialize(aca->pubkey);
-  send_ctrl(
-      aca->node, kLabelRejoin,
-      signed_envelope(MsgType::kRejoinStep4,
-                      crypto::pk_encrypt(aca_pub, with_mac(w.data()), prng_),
-                      keypair_.priv));
+  send_ctrl(aca->node, kLabelRejoin,
+            wrap(RejoinStep4{.requester = ac_id_,
+                             .client_id = s.ticket.member_id,
+                             .ts = network().now()},
+                 crypto::RsaPublicKey::deserialize(aca->pubkey), prng_,
+                 keypair_.priv));
 
   std::uint64_t token = next_timer_token_++;
   s.timeout_timer =
@@ -522,18 +473,14 @@ void AreaController::handle_rejoin_step3(const net::Message& msg) {
   awaiting_cohort_[s.ticket.member_id] = std::move(s);
 }
 
-void AreaController::handle_rejoin_step4(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  AcId requester = r.u64();
-  ClientId k_id = r.u64();
-  net::SimTime ts = r.u64();
-  r.expect_done();
-  if (!ts_fresh(ts)) return;
-  if (!directory_.verify(requester, env.box, env.sig)) return;
-  const AcInfo* req_info = directory_.find(requester);
+void AreaController::handle_rejoin_step4(const net::Message& msg,
+                                         const EnvelopeView& env) {
+  auto step = unwrap<RejoinStep4>(env, keypair_.priv);
+  if (!ts_fresh(step.ts)) return;
+  if (!directory_.verify(step.requester, env.box, env.sig)) return;
+  const AcInfo* req_info = directory_.find(step.requester);
   if (req_info == nullptr) return;
+  ClientId k_id = step.client_id;
 
   bool gone = true;
   Bytes ticket_bytes;
@@ -559,33 +506,19 @@ void AreaController::handle_rejoin_step4(const net::Message& msg) {
     ticket_bytes = dit->second;
   }
 
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u64(k_id);
-  w.u8(gone ? 1 : 0);
-  w.bytes(ticket_bytes);
-  w.u64(network().now());
-  crypto::RsaPublicKey req_pub =
-      crypto::RsaPublicKey::deserialize(req_info->pubkey);
-  send_ctrl(
-      msg.from, kLabelRejoin,
-      signed_envelope(MsgType::kRejoinStep5,
-                      crypto::pk_encrypt(req_pub, with_mac(w.data()), prng_),
-                      keypair_.priv));
+  send_ctrl(msg.from, kLabelRejoin,
+            wrap(RejoinStep5{.responder = ac_id_, .client_id = k_id,
+                             .gone = gone, .ticket = ticket_bytes,
+                             .ts = network().now()},
+                 crypto::RsaPublicKey::deserialize(req_info->pubkey), prng_,
+                 keypair_.priv));
 }
 
-void AreaController::handle_rejoin_step5(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  AcId responder = r.u64();
-  ClientId k_id = r.u64();
-  bool gone = r.u8() != 0;
-  (void)r.bytes();  // AC_A's stored ticket copy; client's copy already checked
-  net::SimTime ts = r.u64();
-  r.expect_done();
-  if (!ts_fresh(ts)) return;
-  if (!directory_.verify(responder, env.box, env.sig)) return;
+void AreaController::handle_rejoin_step5(const EnvelopeView& env) {
+  auto step = unwrap<RejoinStep5>(env, keypair_.priv);
+  if (!ts_fresh(step.ts)) return;
+  if (!directory_.verify(step.responder, env.box, env.sig)) return;
+  ClientId k_id = step.client_id;
 
   auto it = awaiting_cohort_.find(k_id);
   if (it == awaiting_cohort_.end()) return;  // late answer after timeout
@@ -595,7 +528,7 @@ void AreaController::handle_rejoin_step5(const net::Message& msg) {
   std::erase_if(rejoin_timeout_tokens_,
                 [&](const auto& kv) { return kv.second == k_id; });
 
-  if (gone) {
+  if (step.gone) {
     admit_rejoin(s);
   } else {
     deny_rejoin(s);
@@ -637,19 +570,12 @@ void AreaController::admit_rejoin(const AwaitingCohortCheck& s) {
   members_[t.member_id].sealed_ticket = sealed;
   members_[t.member_id].valid_until = t.valid_until;
 
-  WireWriter w;
-  w.bytes(sealed);
-  w.u64(ac_id_);
-  w.u32(area_group_);
-  w.bytes(lkh::serialize_path(path));
-  w.u64(stream_epoch(rekey_epoch_));  // rekey-stream entry point
-  crypto::RsaPublicKey client_pub =
-      crypto::RsaPublicKey::deserialize(t.member_pubkey);
-  send_ctrl(
-      s.client_node, kLabelRejoin,
-      signed_envelope(MsgType::kRejoinStep6,
-                      crypto::pk_encrypt(client_pub, with_mac(w.data()), prng_),
-                      keypair_.priv));
+  send_ctrl(s.client_node, kLabelRejoin,
+            wrap(RejoinStep6{.ticket = sealed, .ac_id = ac_id_,
+                             .group = area_group_, .path = path,
+                             .epoch = stream_epoch(rekey_epoch_)},
+                 crypto::RsaPublicKey::deserialize(t.member_pubkey), prng_,
+                 keypair_.priv));
   ++counters_.rejoins;
   if (auto* t = network().tracer())
     t->span_end(obs::EventKind::kRejoinVerify, s.ticket.member_id, id(),
@@ -679,28 +605,18 @@ void AreaController::connect_to_parent(AcId parent) {
   uplink_ = std::move(up);
   network().join_group(info->group, id());
 
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u64(network().now());
-  crypto::RsaPublicKey parent_pub =
-      crypto::RsaPublicKey::deserialize(info->pubkey);
-  send_ctrl(
-      info->node, kLabelArea,
-      signed_envelope(MsgType::kAcUplinkJoin,
-                      crypto::pk_encrypt(parent_pub, with_mac(w.data()), prng_),
-                      keypair_.priv));
+  send_ctrl(info->node, kLabelArea,
+            wrap(AcUplinkJoin{.child = ac_id_, .ts = network().now()},
+                 crypto::RsaPublicKey::deserialize(info->pubkey), prng_,
+                 keypair_.priv));
   // The parent AC id is part of the replicated snapshot: a standby promoted
   // from a pre-switch snapshot would rejoin the dead parent.
   sync_backup();
 }
 
-void AreaController::handle_uplink_join(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  AcId child = r.u64();
-  net::SimTime ts = r.u64();
-  r.expect_done();
+void AreaController::handle_uplink_join(const net::Message& msg,
+                                        const EnvelopeView& env) {
+  auto [child, ts] = unwrap<AcUplinkJoin>(env, keypair_.priv);
   if (!ts_fresh(ts)) return;
   // The directory doubles as the authorization database AI: only listed
   // ACs may link (their key must verify the signature).
@@ -725,42 +641,27 @@ void AreaController::handle_uplink_join(const net::Message& msg) {
       issue_ticket(child, child_pub_ser, now, now + config_.ticket_validity);
   members_[child].valid_until = now + config_.ticket_validity;
 
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u32(area_group_);
-  w.bytes(lkh::serialize_path(path));
-  w.u64(now);
-  w.u64(stream_epoch(rekey_epoch_));  // where the child enters our stream
-  crypto::RsaPublicKey child_pub =
-      crypto::RsaPublicKey::deserialize(child_pub_ser);
-  send_ctrl(
-      msg.from, kLabelArea,
-      signed_envelope(MsgType::kAcUplinkReply,
-                      crypto::pk_encrypt(child_pub, with_mac(w.data()), prng_),
-                      keypair_.priv));
+  send_ctrl(msg.from, kLabelArea,
+            wrap(AcUplinkReply{.parent = ac_id_, .group = area_group_,
+                               .path = path, .ts = now,
+                               .epoch = stream_epoch(rekey_epoch_)},
+                 crypto::RsaPublicKey::deserialize(child_pub_ser), prng_,
+                 keypair_.priv));
   sync_backup();
 }
 
-void AreaController::handle_uplink_reply(const net::Message& msg) {
+void AreaController::handle_uplink_reply(const EnvelopeView& env) {
   if (!uplink_) return;
-  Envelope env = parse_envelope(msg.payload);
   if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  AcId parent = r.u64();
-  net::GroupId parent_group = r.u32();
-  std::vector<lkh::PathKey> path = lkh::deserialize_path(r.bytes());
-  net::SimTime ts = r.u64();
-  std::uint64_t epoch = r.u64();
-  r.expect_done();
-  if (parent != uplink_->parent_ac || !ts_fresh(ts)) return;
+  auto reply = unwrap<AcUplinkReply>(env, keypair_.priv);
+  if (reply.parent != uplink_->parent_ac || !ts_fresh(reply.ts)) return;
 
-  uplink_->parent_group = parent_group;
+  uplink_->parent_group = reply.group;
   uplink_->keys.clear();
-  uplink_->keys.install(path);
-  uplink_->epoch = epoch;
+  uplink_->keys.install(reply.path);
+  uplink_->epoch = reply.epoch;
   uplink_->recovery_pending = false;
-  network().join_group(parent_group, id());
+  network().join_group(reply.group, id());
   uplink_->ready = true;
   uplink_->last_heard_parent = network().now();
   uplink_->last_sent_parent = network().now();
@@ -812,23 +713,19 @@ void AreaController::switch_parent() {
 void AreaController::send_alive_if_idle() {
   net::SimTime now = network().now();
   if (now - last_area_tx_ >= config_.t_idle && !members_.empty()) {
-    WireWriter w;
-    w.u8(kAliveFromAc);
-    w.u64(ac_id_);
     // The beacon doubles as an epoch advertisement: a member that lost the
     // FINAL rekey of a burst has no later rekey to reveal the gap, so the
     // idle beacon is what drags it back into key recovery.
-    w.u64(stream_epoch(rekey_epoch_));
-    multicast_area(kLabelAlive, envelope(MsgType::kAlive, w.data()));
+    multicast_area(kLabelAlive,
+                   wrap(Alive{.from = AliveBeacon{
+                                  .ac_id = ac_id_,
+                                  .epoch = stream_epoch(rekey_epoch_)}}));
   }
   // As a member of the parent area, we owe the parent OUR alive messages.
   if (uplink_ && uplink_->ready &&
       now - uplink_->last_sent_parent >= config_.t_active) {
-    WireWriter w;
-    w.u8(kAliveFromMember);
-    w.u64(ac_id_);
     network().unicast(id(), uplink_->parent_node, kLabelAlive,
-                      envelope(MsgType::kAlive, w.data()));
+                      wrap(Alive{.from = AliveMember{.client_id = ac_id_}}));
     uplink_->last_sent_parent = now;
   }
 }
@@ -865,14 +762,11 @@ void AreaController::scan_members() {
   }
 }
 
-void AreaController::handle_alive(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
-  std::uint8_t kind = r.u8();
-  std::uint64_t sender = r.u64();
-  if (kind == kAliveFromMember) {
-    r.expect_done();
-    auto it = members_.find(sender);
+void AreaController::handle_alive(const net::Message& msg,
+                                  const EnvelopeView& env) {
+  auto alive = unwrap<Alive>(env);
+  if (const auto* member = std::get_if<AliveMember>(&alive.from)) {
+    auto it = members_.find(member->client_id);
     if (it != members_.end() && it->second.node == msg.from)
       it->second.last_heard = network().now();
     return;
@@ -880,18 +774,15 @@ void AreaController::handle_alive(const net::Message& msg) {
   // Parent-area beacon (liveness is already booked in on_message): compare
   // the advertised rekey epoch with our uplink position — it is the only
   // signal that reveals a lost rekey when the parent then goes quiet.
-  std::uint64_t epoch = r.u64();
-  r.expect_done();
-  if (uplink_ && uplink_->ready && sender == uplink_->parent_ac &&
-      epoch > uplink_->epoch && !uplink_->recovery_pending)
+  const auto& beacon = std::get<AliveBeacon>(alive.from);
+  if (uplink_ && uplink_->ready && beacon.ac_id == uplink_->parent_ac &&
+      beacon.epoch > uplink_->epoch && !uplink_->recovery_pending)
     request_uplink_recovery("beacon-gap");
 }
 
-void AreaController::handle_leave_request(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
-  ClientId client = r.u64();
-  r.expect_done();
+void AreaController::handle_leave_request(const net::Message& msg,
+                                          const EnvelopeView& env) {
+  ClientId client = unwrap<LeaveRequest>(env).client_id;
   auto it = members_.find(client);
   if (it == members_.end()) return;
   // Anti-spoofing: the request must come from the member's own node.
@@ -899,13 +790,9 @@ void AreaController::handle_leave_request(const net::Message& msg) {
   schedule_leave(client);
 }
 
-void AreaController::handle_data(const net::Message& msg, ByteView box) {
-  WireReader r(box);
-  std::uint64_t msg_id = r.u64();
-  std::uint64_t sender = r.u64();
-  ByteView key_box = r.view();
-  ByteView payload_box = r.view();
-  r.expect_done();
+void AreaController::handle_data(const net::Message& msg,
+                                 const EnvelopeView& env) {
+  auto [msg_id, sender, key_box, payload_box] = unwrap<Data>(env);
 
   // Any traffic from a member counts as liveness.
   if (auto it = members_.find(sender); it != members_.end())
@@ -939,12 +826,9 @@ void AreaController::handle_data(const net::Message& msg, ByteView box) {
   crypto::SymmetricKey data_key(std::move(*dk_raw));
 
   auto build = [&](const crypto::SymmetricKey& area_key) {
-    WireWriter w;
-    w.u64(msg_id);
-    w.u64(sender);
-    w.bytes(crypto::sym_seal(area_key, data_key.bytes(), prng_));
-    w.bytes(payload_box);
-    return envelope(MsgType::kData, w.data());
+    Bytes resealed = crypto::sym_seal(area_key, data_key.bytes(), prng_);
+    return wrap(Data{.msg_id = msg_id, .sender = sender, .key_box = resealed,
+                     .payload_box = payload_box});
   };
 
   if (from_own && uplink_ && uplink_->ready) {
@@ -959,11 +843,11 @@ void AreaController::handle_data(const net::Message& msg, ByteView box) {
   }
 }
 
-void AreaController::handle_rekey_from_parent(const net::Message& msg) {
+void AreaController::handle_rekey_from_parent(const net::Message& msg,
+                                              const EnvelopeView& env) {
   if (!uplink_ || !uplink_->ready || msg.group != uplink_->parent_group) return;
-  Envelope env = parse_envelope(msg.payload);
   if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
-  lkh::RekeyMessage rk = lkh::RekeyMessage::deserialize(env.box);
+  lkh::RekeyMessage rk = unwrap<Rekey>(env).rekey.value;
 
   if (!config_.reliable_control) {
     uplink_->keys.apply(rk);
@@ -986,21 +870,20 @@ void AreaController::handle_rekey_from_parent(const net::Message& msg) {
   }
 }
 
-void AreaController::handle_split_update(const net::Message& msg) {
+void AreaController::handle_split_update(const net::Message& msg,
+                                         const EnvelopeView& env) {
   if (!uplink_) return;
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  uplink_->keys.install(lkh::deserialize_path(inner));
+  // Sealed to us but neither signed nor fresh: only the source address ties
+  // the key path to our parent AC (either of its listed nodes).
+  const AcInfo* parent = directory_.find(uplink_->parent_ac);
+  if (parent == nullptr ||
+      (msg.from != parent->node && msg.from != parent->backup_node))
+    return;
+  uplink_->keys.install(unwrap<SplitUpdate>(env, keypair_.priv).path.value);
 }
 
-void AreaController::handle_takeover(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(env.box);
-  WireReader r(inner);
-  AcId who = r.u64();
-  net::NodeId new_node = r.u32();
-  net::SimTime ts = r.u64();
-  r.expect_done();
+void AreaController::handle_takeover(const EnvelopeView& env) {
+  auto [who, new_node, ts] = unwrap<TakeOver>(env);
   if (!ts_fresh(ts)) return;
   if (!directory_.verify(who, env.box, env.sig)) return;
   // Swap only when the directory does not already list the announced node
@@ -1030,13 +913,10 @@ void AreaController::redirect_to_primary(const net::Message& msg) {
       it != last_redirect_.end() && now - it->second < config_.heartbeat_interval)
     return;  // per-sender rate limit: one redirect per heartbeat interval
   last_redirect_[msg.from] = now;
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u32(self->node);
-  w.u64(now);
-  network().unicast(id(), msg.from, kLabelArea,
-                    signed_envelope(MsgType::kTakeOver, with_mac(w.data()),
-                                    keypair_.priv));
+  network().unicast(
+      id(), msg.from, kLabelArea,
+      wrap(TakeOver{.ac_id = ac_id_, .node = self->node, .ts = now},
+           keypair_.priv));
   if (auto* m = network().metrics()) m->counter("ac.redirects").inc();
 }
 
@@ -1057,27 +937,21 @@ void AreaController::request_uplink_recovery(const char* trigger) {
   if (auto* m = network().metrics())
     m->counter("ac.uplink_recovery_requests").inc();
 
-  WireWriter w;
-  w.u64(ac_id_);  // in the parent's tree we are the member `ac_id_`
-  w.u64(uplink_->parent_ac);
-  w.u64(uplink_->epoch);
-  w.u64(uplink_->recovery_nonce);
+  // In the parent's tree we are the member `ac_id_`.
   send_ctrl(uplink_->parent_node, kLabelRecovery,
-            envelope(MsgType::kKeyRecoveryRequest, w.data()));
+            wrap(KeyRecoveryRequest{.client_id = ac_id_,
+                                    .ac_id = uplink_->parent_ac,
+                                    .epoch = uplink_->epoch,
+                                    .nonce = uplink_->recovery_nonce}));
 }
 
-void AreaController::handle_key_recovery_request(const net::Message& msg) {
+void AreaController::handle_key_recovery_request(const net::Message& msg,
+                                                 const EnvelopeView& env) {
   if (!config_.reliable_control) return;
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
-  ClientId client = r.u64();
-  AcId target_ac = r.u64();
-  std::uint64_t member_epoch = r.u64();
-  std::uint64_t nonce = r.u64();
-  r.expect_done();
-  (void)member_epoch;  // the reply always carries the member's full path
-
-  if (target_ac != ac_id_) return;  // wrong area (stale directory / replay)
+  // The request's epoch is unused: the reply always carries the full path.
+  auto request = unwrap<KeyRecoveryRequest>(env);
+  ClientId client = request.client_id;
+  if (request.ac_id != ac_id_) return;  // wrong area (stale map / replay)
   auto it = members_.find(client);
   // Unknown, evicted, or departed members get no answer — forward secrecy:
   // a catch-up must never leak the current key to someone rekeyed out.
@@ -1097,47 +971,37 @@ void AreaController::handle_key_recovery_request(const net::Message& msg) {
   if (auto* m = network().metrics())
     m->counter("ac.key_recoveries_served").inc();
 
-  // {Nonce+1; AC id; epoch; [path keys]; MAC}_Pub_member ; Sig — sealed to
-  // the member's registered key, so only the legitimate holder can read it.
-  WireWriter w;
-  w.u64(nonce + 1);
-  w.u64(ac_id_);
-  w.u64(stream_epoch(rekey_epoch_));
-  w.bytes(lkh::serialize_path(tree_->path_keys(client)));
-  crypto::RsaPublicKey pub = crypto::RsaPublicKey::deserialize(rec.pubkey);
+  // Sealed to the member's registered key, so only the legitimate holder
+  // can read it.
   send_ctrl(msg.from, kLabelRecovery,
-            signed_envelope(MsgType::kKeyRecoveryReply,
-                            crypto::pk_encrypt(pub, with_mac(w.data()), prng_),
-                            keypair_.priv));
+            wrap(KeyRecoveryReply{.nonce_plus1 = request.nonce + 1,
+                                  .ac_id = ac_id_,
+                                  .epoch = stream_epoch(rekey_epoch_),
+                                  .path = tree_->path_keys(client)},
+                 crypto::RsaPublicKey::deserialize(rec.pubkey), prng_,
+                 keypair_.priv));
 }
 
-void AreaController::handle_key_recovery_reply(const net::Message& msg) {
+void AreaController::handle_key_recovery_reply(const EnvelopeView& env) {
   if (!uplink_ || !uplink_->ready) return;
-  Envelope env = parse_envelope(msg.payload);
   if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t nonce_echo = r.u64();
-  AcId parent = r.u64();
-  std::uint64_t epoch = r.u64();
-  std::vector<lkh::PathKey> path = lkh::deserialize_path(r.bytes());
-  r.expect_done();
-  if (parent != uplink_->parent_ac) return;
+  auto reply = unwrap<KeyRecoveryReply>(env, keypair_.priv);
+  if (reply.ac_id != uplink_->parent_ac) return;
   if (!uplink_->recovery_pending ||
-      nonce_echo != uplink_->recovery_nonce + 1)
+      reply.nonce_plus1 != uplink_->recovery_nonce + 1)
     return;
 
-  if (epoch < uplink_->epoch) {
+  if (reply.epoch < uplink_->epoch) {
     // Reply predates a rekey we already applied — version-guarded partial
     // install only; the idle-timer retry asks again for a current one.
-    uplink_->keys.install(path);
+    uplink_->keys.install(reply.path);
     return;
   }
   // Authoritative: versions regress across parent takeovers, so the guard
   // in install() could discard the new parent-primary's keys (see
   // MemberKeyState::reinstall).
-  uplink_->keys.reinstall(path);
-  uplink_->epoch = epoch;
+  uplink_->keys.reinstall(reply.path);
+  uplink_->epoch = reply.epoch;
   uplink_->recovery_pending = false;
   if (auto* m = network().metrics())
     m->counter("ac.uplink_recoveries").inc();
@@ -1150,28 +1014,20 @@ void AreaController::send_load_report() {
   std::size_t real = 0;
   for (const auto& [cid, rec] : members_)
     if (cid < kAcIdBase) ++real;  // child ACs are infrastructure, not load
-  WireWriter f;
-  f.u64(ac_id_);
-  f.u32(static_cast<std::uint32_t>(real));
-  f.u64(rekey_epoch_);
-  f.u64(network().now());
   send_ctrl(rs_node_, kLabelAdmin,
-            signed_envelope(MsgType::kLoadReport, with_mac(f.data()),
-                            keypair_.priv));
+            wrap(LoadReport{.ac_id = ac_id_,
+                            .members = static_cast<std::uint32_t>(real),
+                            .rekey_epoch = rekey_epoch_, .ts = network().now()},
+                 keypair_.priv));
 }
 
-void AreaController::handle_area_map_update(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
+void AreaController::handle_area_map_update(const net::Message& msg,
+                                            const EnvelopeView& env) {
   if (!verify_envelope(env, rs_pub_)) return;
-  Bytes inner = strip_mac(env.box);
-  WireReader r(inner);
-  net::SimTime ts = r.u64();
-  Bytes dir_bytes = r.bytes();
-  r.expect_done();
-  if (!ts_fresh(ts)) return;
-  AcDirectory fresh = AcDirectory::deserialize(dir_bytes);
+  auto update = unwrap<AreaMapUpdate>(env);
+  if (!ts_fresh(update.ts)) return;
   bool was_active = active_in_map();
-  if (!directory_.adopt(fresh)) return;  // stale or duplicate version
+  if (!directory_.adopt(update.directory)) return;  // stale or duplicate
   latest_map_payload_ = msg.payload.clone();
   if (auto* m = network().metrics()) m->counter("ac.map_updates").inc();
   if (role_ != Role::kPrimary) return;
@@ -1212,10 +1068,8 @@ void AreaController::apply_map_transition(bool was_active) {
     migrate_quota_ = 0;
     if (uplink_) {
       if (uplink_->ready) {
-        WireWriter w;
-        w.u64(ac_id_);
         network().unicast(id(), uplink_->parent_node, kLabelArea,
-                          envelope(MsgType::kLeaveRequest, w.data()));
+                          wrap(LeaveRequest{.client_id = ac_id_}));
         network().leave_group(uplink_->parent_group, id());
       }
       uplink_.reset();
@@ -1224,15 +1078,9 @@ void AreaController::apply_map_transition(bool was_active) {
   }
 }
 
-void AreaController::handle_migrate_request(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
+void AreaController::handle_migrate_request(const EnvelopeView& env) {
   if (!verify_envelope(env, rs_pub_)) return;  // only the RS moves members
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  AcId target = r.u64();
-  std::uint32_t count = r.u32();
-  net::SimTime ts = r.u64();
-  r.expect_done();
+  auto [target, count, ts] = unwrap<MigrateRequest>(env, keypair_.priv);
   if (!ts_fresh(ts)) return;
   if (target == ac_id_) return;
   migrate_target_ = target;
@@ -1260,17 +1108,13 @@ void AreaController::issue_migrate_directives() {
       break;
     }
     rec.migrate_until = now + migrate_window();
-    WireWriter f;
-    f.u64(ac_id_);
-    f.u64(cid);
-    f.u64(migrate_target_);
-    f.u64(now);
     // Embed the map the directive relies on: the member may not have seen
     // the split yet, and rejoin() refuses targets outside its directory.
-    f.bytes(latest_map_payload_);
     send_ctrl(rec.node, kLabelArea,
-              signed_envelope(MsgType::kMigrateDirective, with_mac(f.data()),
-                              keypair_.priv));
+              wrap(MigrateDirective{.from_ac = ac_id_, .client_id = cid,
+                                    .target = migrate_target_, .ts = now,
+                                    .map_update = latest_map_payload_},
+                   keypair_.priv));
     ++issued;
     --migrate_quota_;
   }
@@ -1311,13 +1155,11 @@ void AreaController::sync_backup() {
   // The version lets the backup detect a missed sync from heartbeats; the
   // takeover epoch is the split-brain tie-breaker (DESIGN.md 9.3).
   ++sync_version_;
-  WireWriter w;
-  w.u64(sync_version_);
-  w.u64(takeover_epoch_);
-  w.bytes(make_snapshot());
-  Bytes sealed = crypto::sym_seal(k_shared_.derive("sync"), w.data(), prng_);
   network().unicast(id(), backup_node_, kLabelRepl,
-                    envelope(MsgType::kStateSync, sealed));
+                    wrap(StateSync{.version = sync_version_,
+                                   .takeover_epoch = takeover_epoch_,
+                                   .snapshot = make_snapshot()},
+                         k_shared_, prng_));
 }
 
 void AreaController::load_snapshot(ByteView snapshot) {
@@ -1352,14 +1194,10 @@ void AreaController::load_snapshot(ByteView snapshot) {
   }
 }
 
-void AreaController::handle_state_sync(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes plain = crypto::sym_open(k_shared_.derive("sync"), env.box);
-  WireReader r(plain);
-  std::uint64_t version = r.u64();
-  std::uint64_t their_takeover = r.u64();
-  Bytes snapshot = r.bytes();
-  r.expect_done();
+void AreaController::handle_state_sync(const net::Message& msg,
+                                       const EnvelopeView& env) {
+  auto [version, their_takeover, snapshot] =
+      unwrap<StateSync>(env, k_shared_);
 
   if (role_ == Role::kPrimary) {
     // Another instance of this area believes it is the authority (e.g. we
@@ -1401,19 +1239,14 @@ void AreaController::handle_state_sync_request(const net::Message& msg) {
   sync_backup();
 }
 
-void AreaController::handle_heartbeat(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
-  (void)r.u64();  // sender's clock
-  std::uint64_t version = r.u64();
-  r.expect_done();
-
+void AreaController::handle_heartbeat(const net::Message& msg,
+                                      const EnvelopeView& env) {
+  std::uint64_t version = unwrap<Heartbeat>(env).sync_version;
   if (role_ == Role::kPrimary) {
     // A peer replicates to us while we think we are primary: split brain.
     // Ask for its state — the takeover epochs in the resulting StateSync
     // exchange decide who steps down.
-    network().unicast(id(), msg.from, kLabelRepl,
-                      envelope(MsgType::kStateSyncRequest, Bytes{}));
+    network().unicast(id(), msg.from, kLabelRepl, wrap(StateSyncRequest{}));
     return;
   }
 
@@ -1423,8 +1256,7 @@ void AreaController::handle_heartbeat(const net::Message& msg) {
     // We missed one or more state syncs (a partition or drops ate them).
     // Pull a fresh snapshot instead of risking a takeover from stale
     // membership.
-    network().unicast(id(), msg.from, kLabelRepl,
-                      envelope(MsgType::kStateSyncRequest, Bytes{}));
+    network().unicast(id(), msg.from, kLabelRepl, wrap(StateSyncRequest{}));
   }
 }
 
@@ -1467,12 +1299,10 @@ void AreaController::promote_to_primary() {
   }
 
   // Announce: members and child ACs update their AC address and verify key.
-  WireWriter w;
-  w.u64(ac_id_);
-  w.u32(id());
-  w.u64(network().now());
-  multicast_area(kLabelArea, signed_envelope(MsgType::kTakeOver,
-                                             with_mac(w.data()), keypair_.priv));
+  multicast_area(kLabelArea,
+                 wrap(TakeOver{.ac_id = ac_id_, .node = id(),
+                               .ts = network().now()},
+                      keypair_.priv));
 
   if (old_primary != net::kNoNode) set_backup(old_primary);
 
@@ -1720,11 +1550,9 @@ void AreaController::on_timer(std::uint64_t token) {
     case kTimerHeartbeat: {
       if (role_ != Role::kPrimary) return;
       if (backup_node_ != net::kNoNode) {
-        WireWriter w;
-        w.u64(network().now());
-        w.u64(sync_version_);  // lets the backup spot a missed StateSync
         network().unicast(id(), backup_node_, kLabelRepl,
-                          envelope(MsgType::kHeartbeat, w.data()));
+                          wrap(Heartbeat{.ts = network().now(),
+                                         .sync_version = sync_version_}));
         network().set_timer(id(), config_.heartbeat_interval,
                             timer_token(kTimerHeartbeat));
       }
@@ -1789,27 +1617,15 @@ void AreaController::on_message(const net::Message& raw) {
   const net::Message& msg =
       rx == net::ArqEndpoint::Rx::kDeliver ? unwrapped : raw;
 
-  EnvelopeView env;
   try {
-    env = parse_envelope_view(msg.payload);
-  } catch (const Error&) {
-    return;
-  }
-
-  try {
+    EnvelopeView env = parse_envelope_view(msg.payload);
     if (role_ == Role::kBackup) {
       switch (env.type) {
-        case MsgType::kStateSync:
-          handle_state_sync(msg);
-          break;
-        case MsgType::kHeartbeat:
-          handle_heartbeat(msg);
-          break;
-        case MsgType::kAreaMapUpdate:
-          // Standbys track the map too: a takeover must not revert the
-          // area topology to a pre-split view.
-          handle_area_map_update(msg);
-          break;
+        case MsgType::kStateSync: return handle_state_sync(msg, env);
+        case MsgType::kHeartbeat: return handle_heartbeat(msg, env);
+        // Standbys track the map too: a takeover must not revert the area
+        // topology to a pre-split view.
+        case MsgType::kAreaMapUpdate: return handle_area_map_update(msg, env);
         case MsgType::kRejoinStep1:
         case MsgType::kJoinStep6:
         case MsgType::kAlive:
@@ -1831,73 +1647,31 @@ void AreaController::on_message(const net::Message& raw) {
     }
 
     switch (env.type) {
-      case MsgType::kJoinStep4:
-        handle_join_step4(msg);
-        break;
-      case MsgType::kJoinStep6:
-        handle_join_step6(msg);
-        break;
-      case MsgType::kRejoinStep1:
-        handle_rejoin_step1(msg);
-        break;
-      case MsgType::kRejoinStep3:
-        handle_rejoin_step3(msg);
-        break;
-      case MsgType::kRejoinStep4:
-        handle_rejoin_step4(msg);
-        break;
-      case MsgType::kRejoinStep5:
-        handle_rejoin_step5(msg);
-        break;
-      case MsgType::kAcUplinkJoin:
-        handle_uplink_join(msg);
-        break;
-      case MsgType::kAcUplinkReply:
-        handle_uplink_reply(msg);
-        break;
-      case MsgType::kAlive:
-        handle_alive(msg);
-        break;
-      case MsgType::kData:
-        handle_data(msg, env.box);
-        break;
-      case MsgType::kLeaveRequest:
-        handle_leave_request(msg);
-        break;
-      case MsgType::kRekey:
-        handle_rekey_from_parent(msg);
-        break;
-      case MsgType::kSplitUpdate:
-        handle_split_update(msg);
-        break;
-      case MsgType::kTakeOver:
-        handle_takeover(msg);
-        break;
+      case MsgType::kJoinStep4: return handle_join_step4(env);
+      case MsgType::kJoinStep6: return handle_join_step6(msg, env);
+      case MsgType::kRejoinStep1: return handle_rejoin_step1(msg, env);
+      case MsgType::kRejoinStep3: return handle_rejoin_step3(env);
+      case MsgType::kRejoinStep4: return handle_rejoin_step4(msg, env);
+      case MsgType::kRejoinStep5: return handle_rejoin_step5(env);
+      case MsgType::kAcUplinkJoin: return handle_uplink_join(msg, env);
+      case MsgType::kAcUplinkReply: return handle_uplink_reply(env);
+      case MsgType::kAlive: return handle_alive(msg, env);
+      case MsgType::kData: return handle_data(msg, env);
+      case MsgType::kLeaveRequest: return handle_leave_request(msg, env);
+      case MsgType::kRekey: return handle_rekey_from_parent(msg, env);
+      case MsgType::kSplitUpdate: return handle_split_update(msg, env);
+      case MsgType::kTakeOver: return handle_takeover(env);
       case MsgType::kKeyRecoveryRequest:
-        handle_key_recovery_request(msg);
-        break;
-      case MsgType::kKeyRecoveryReply:
-        handle_key_recovery_reply(msg);
-        break;
-      case MsgType::kStateSyncRequest:
-        handle_state_sync_request(msg);
-        break;
-      case MsgType::kAreaMapUpdate:
-        handle_area_map_update(msg);
-        break;
-      case MsgType::kMigrateRequest:
-        handle_migrate_request(msg);
-        break;
+        return handle_key_recovery_request(msg, env);
+      case MsgType::kKeyRecoveryReply: return handle_key_recovery_reply(env);
+      case MsgType::kStateSyncRequest: return handle_state_sync_request(msg);
+      case MsgType::kAreaMapUpdate: return handle_area_map_update(msg, env);
+      case MsgType::kMigrateRequest: return handle_migrate_request(env);
       // A primary also listens to replication traffic: a StateSync or
       // heartbeat reaching a primary means a split brain (DESIGN.md 9.3).
-      case MsgType::kStateSync:
-        handle_state_sync(msg);
-        break;
-      case MsgType::kHeartbeat:
-        handle_heartbeat(msg);
-        break;
-      default:
-        break;
+      case MsgType::kStateSync: return handle_state_sync(msg, env);
+      case MsgType::kHeartbeat: return handle_heartbeat(msg, env);
+      default: return;
     }
   } catch (const Error&) {
     // Malformed/unauthentic input from the network must never crash an AC.

@@ -28,10 +28,10 @@
 #include "lkh/key_tree.h"
 #include "lkh/member_state.h"
 #include "mykil/config.h"
-#include "mykil/directory.h"
 #include "lkh/rekey.h"
+#include "mykil/directory.h"
+#include "mykil/messages.h"
 #include "mykil/ticket.h"
-#include "mykil/wire.h"
 #include "net/arq.h"
 #include "net/network.h"
 
@@ -159,11 +159,6 @@ class AreaController : public net::Node {
     /// OUR instruction, not sharing its ticket).
     net::SimTime migrate_until = 0;
   };
-  struct PendingJoin {  ///< step 4 received, awaiting step 6
-    ClientId client_id = 0;
-    Bytes client_pubkey;
-    net::SimDuration duration = 0;
-  };
   struct PendingRejoin {  ///< step 1/2 done, awaiting step 3
     net::NodeId client_node = net::kNoNode;
     ClientId claimed_nic = 0;
@@ -196,35 +191,38 @@ class AreaController : public net::Node {
     net::SimTime last_recovery_request = 0;
   };
 
-  // message handlers
-  void handle_join_step4(const net::Message& msg);
-  void handle_join_step6(const net::Message& msg);
+  // Message handlers; each reads the envelope on_message parsed, a view
+  // into msg.payload.
+  void handle_join_step4(const EnvelopeView& env);
+  void handle_join_step6(const net::Message& msg, const EnvelopeView& env);
   /// Shared tail of step 6: admit and send step 7.
   void complete_join(std::uint64_t nonce_response, net::NodeId client_node,
                      std::uint64_t nonce_ca);
-  void handle_rejoin_step1(const net::Message& msg);
-  void handle_rejoin_step3(const net::Message& msg);
-  void handle_rejoin_step4(const net::Message& msg);
-  void handle_rejoin_step5(const net::Message& msg);
-  void handle_uplink_join(const net::Message& msg);
-  void handle_uplink_reply(const net::Message& msg);
-  void handle_alive(const net::Message& msg);
-  /// `box` is the envelope's box, a view into msg.payload.
-  void handle_data(const net::Message& msg, ByteView box);
-  void handle_leave_request(const net::Message& msg);
-  void handle_rekey_from_parent(const net::Message& msg);
-  void handle_split_update(const net::Message& msg);
-  void handle_state_sync(const net::Message& msg);
+  void handle_rejoin_step1(const net::Message& msg, const EnvelopeView& env);
+  void handle_rejoin_step3(const EnvelopeView& env);
+  void handle_rejoin_step4(const net::Message& msg, const EnvelopeView& env);
+  void handle_rejoin_step5(const EnvelopeView& env);
+  void handle_uplink_join(const net::Message& msg, const EnvelopeView& env);
+  void handle_uplink_reply(const EnvelopeView& env);
+  void handle_alive(const net::Message& msg, const EnvelopeView& env);
+  void handle_data(const net::Message& msg, const EnvelopeView& env);
+  void handle_leave_request(const net::Message& msg, const EnvelopeView& env);
+  void handle_rekey_from_parent(const net::Message& msg,
+                                const EnvelopeView& env);
+  /// Key paths are accepted only from the parent AC's listed nodes.
+  void handle_split_update(const net::Message& msg, const EnvelopeView& env);
+  void handle_state_sync(const net::Message& msg, const EnvelopeView& env);
   void handle_state_sync_request(const net::Message& msg);
-  void handle_heartbeat(const net::Message& msg);
-  void handle_takeover(const net::Message& msg);
+  void handle_heartbeat(const net::Message& msg, const EnvelopeView& env);
+  void handle_takeover(const EnvelopeView& env);
   /// Demoted-primary courtesy: re-announce the takeover, unicast, to a
   /// member that still addresses us (it missed the original multicast).
   void redirect_to_primary(const net::Message& msg);
-  void handle_key_recovery_request(const net::Message& msg);
-  void handle_key_recovery_reply(const net::Message& msg);
-  void handle_area_map_update(const net::Message& msg);
-  void handle_migrate_request(const net::Message& msg);
+  void handle_key_recovery_request(const net::Message& msg,
+                                   const EnvelopeView& env);
+  void handle_key_recovery_reply(const EnvelopeView& env);
+  void handle_area_map_update(const net::Message& msg, const EnvelopeView& env);
+  void handle_migrate_request(const EnvelopeView& env);
 
   // internals
   /// Admit `client` into the tree and area; returns the unicast path keys.
@@ -295,7 +293,8 @@ class AreaController : public net::Node {
 
   std::map<ClientId, MemberRecord> members_;
   std::map<ClientId, Bytes> departed_tickets_;  ///< for rejoin confirmations
-  std::map<std::uint64_t, PendingJoin> pending_joins_;      // by Nonce_AC+2
+  /// RS introductions (step 4) awaiting the client's step 6, by Nonce_AC+2.
+  std::map<std::uint64_t, JoinStep4> pending_joins_;
   /// Step 6 can overtake the RS's step-4 introduction under reordering;
   /// park it until the introduction arrives. Keyed by Nonce_AC+2.
   struct EarlyStep6 {

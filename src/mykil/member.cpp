@@ -5,6 +5,7 @@
 
 #include "common/error.h"
 #include "crypto/sealed.h"
+#include "mykil/messages.h"
 
 namespace mykil::core {
 
@@ -19,9 +20,6 @@ const net::Label kLabelRecovery{"mykil-recovery"};
 
 constexpr std::uint64_t kTimerAlive = 1;
 constexpr std::uint64_t kTimerWatchdog = 2;
-
-constexpr std::uint8_t kAliveFromAc = 0;
-constexpr std::uint8_t kAliveFromMember = 1;
 
 }  // namespace
 
@@ -93,98 +91,66 @@ void Member::join(net::NodeId rs_node, net::SimDuration requested_duration) {
                   join_started_, kLabelJoin);
   }
 
-  // Step 1: {[auth-info]; Pub_k; Nonce_CW; MAC}_Pub_rs. The auth-info is
-  // our client id plus the membership duration we are "paying" for.
-  WireWriter w;
-  w.u64(nic_id_);
-  w.u64(requested_duration);
-  w.bytes(keypair_.pub.serialize());
-  w.u64(nonce_cw_);
+  // Step 1. The auth-info is our client id plus the membership duration
+  // we are "paying" for.
   send_ctrl(rs_node, kLabelJoin,
-            envelope(MsgType::kJoinStep1,
-                     crypto::pk_encrypt(rs_pub_, with_mac(w.data()), prng_)));
+            wrap(JoinStep1{.client_id = nic_id_,
+                           .duration = requested_duration,
+                           .client_pubkey = keypair_.pub.serialize(),
+                           .nonce_cw = nonce_cw_},
+                 rs_pub_, prng_));
   net.set_current_trace(outer);
 }
 
-void Member::handle_join_step2(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t challenge_response = r.u64();
-  std::uint64_t nonce_wc = r.u64();
-  r.expect_done();
+void Member::handle_join_step2(const EnvelopeView& env) {
+  auto step = unwrap<JoinStep2>(env, keypair_.priv);
   // Authenticate the RS: only the holder of the well-known key's private
   // half could read Nonce_CW and answer Nonce_CW + 1.
-  if (challenge_response != nonce_cw_ + 1)
+  if (step.nonce_cw_plus1 != nonce_cw_ + 1)
     throw AuthError("registration server failed the nonce challenge");
-  nonce_wc_ = nonce_wc;
-
-  // Step 3: {Nonce_WC+1; MAC}_Pub_rs.
-  WireWriter w;
-  w.u64(nonce_wc_ + 1);
   send_ctrl(rs_node_, kLabelJoin,
-            envelope(MsgType::kJoinStep3,
-                     crypto::pk_encrypt(rs_pub_, with_mac(w.data()), prng_)));
+            wrap(JoinStep3{.nonce_wc_plus1 = step.nonce_wc + 1}, rs_pub_,
+                 prng_));
 }
 
-void Member::handle_join_step5(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
+void Member::handle_join_step5(const EnvelopeView& env) {
   // Signed by the RS — verify before trusting the AC handle inside.
   if (!verify_envelope(env, rs_pub_)) throw AuthError("step-5 signature bad");
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  nonce_ac_ = r.u64() - 1;  // RS sent Nonce_AC + 1
-  AcId ac_id = r.u64();
-  net::NodeId ac_node = r.u32();
-  Bytes ac_pub = r.bytes();
-  directory_ = AcDirectory::deserialize(r.bytes());
-  r.expect_done();
-  (void)ac_pub;  // also present in the directory
+  auto step = unwrap<JoinStep5>(env, keypair_.priv);
+  directory_ = std::move(step.directory);
+  ac_id_ = step.ac_id;
+  ac_node_ = step.ac_node;
 
-  ac_id_ = ac_id;
-  ac_node_ = ac_node;
-
-  // Step 6: {Nonce_AC+2; Nonce_CA; MAC}_Pub_ac.
   nonce_ca_ = prng_.next_u64();
-  const AcInfo* info = directory_.find(ac_id);
+  const AcInfo* info = directory_.find(step.ac_id);
   if (info == nullptr) throw ProtocolError("assigned AC missing from directory");
   crypto::RsaPublicKey pub = crypto::RsaPublicKey::deserialize(info->pubkey);
   // Subscribe to the area's multicast group now: a rekey triggered by a
   // concurrent join must not slip past us between steps 6 and 7.
   network().join_group(info->group, id());
-  WireWriter w;
-  w.u64(nonce_ac_ + 2);
-  w.u64(nonce_ca_);
-  send_ctrl(ac_node, kLabelJoin,
-            envelope(MsgType::kJoinStep6,
-                     crypto::pk_encrypt(pub, with_mac(w.data()), prng_)));
+  send_ctrl(step.ac_node, kLabelJoin,
+            wrap(JoinStep6{.nonce_ac_plus2 = step.nonce_ac_plus1 + 1,
+                           .nonce_ca = nonce_ca_},
+                 pub, prng_));
   last_sent_ac_ = network().now();
 }
 
-void Member::handle_join_step7(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t challenge_response = r.u64();
-  Bytes ticket = r.bytes();
-  AcId ac_id = r.u64();
-  net::GroupId group = r.u32();
-  std::vector<lkh::PathKey> path = lkh::deserialize_path(r.bytes());
-  std::uint64_t epoch = r.u64();
-  r.expect_done();
-  if (challenge_response != nonce_ca_ + 1)
+void Member::handle_join_step7(const net::Message& msg,
+                               const EnvelopeView& env) {
+  auto step = unwrap<JoinStep7>(env, keypair_.priv);
+  if (step.nonce_ca_plus1 != nonce_ca_ + 1)
     throw AuthError("area controller failed the nonce challenge");
 
-  sealed_ticket_ = std::move(ticket);
-  ac_id_ = ac_id;
+  sealed_ticket_ = std::move(step.ticket);
+  ac_id_ = step.ac_id;
   ac_node_ = msg.from;
-  area_group_ = group;
+  area_group_ = step.group;
   keys_.clear();
-  keys_.install(path);
-  area_epoch_ = epoch;
+  keys_.install(step.path);
+  area_epoch_ = step.epoch;
   recovery_pending_ = false;
   discard_held();
-  network().join_group(group, id());
+  network().join_group(step.group, id());
   joined_ = true;
   join_in_progress_ = false;
   last_heard_ac_ = network().now();
@@ -223,64 +189,44 @@ void Member::rejoin(AcId target_ac) {
   // Subscribe early (see handle_join_step5 for why).
   network().join_group(info->group, id());
 
-  // Rejoin step 1: {Nonce_CB; NIC id; ticket; MAC}_Pub_ac_b.
-  WireWriter w;
-  w.u64(nonce_cb_);
-  w.u64(nic_id_);
-  w.bytes(sealed_ticket_);
   crypto::RsaPublicKey pub = crypto::RsaPublicKey::deserialize(info->pubkey);
   send_ctrl(info->node, kLabelRejoin,
-            envelope(MsgType::kRejoinStep1,
-                     crypto::pk_encrypt(pub, with_mac(w.data()), prng_)));
+            wrap(RejoinStep1{.nonce_cb = nonce_cb_, .client_id = nic_id_,
+                             .ticket = sealed_ticket_},
+                 pub, prng_));
   net.set_current_trace(outer);
 }
 
-void Member::handle_rejoin_step2(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t challenge_response = r.u64();
-  std::uint64_t nonce_bc = r.u64();
-  r.expect_done();
-  if (challenge_response != nonce_cb_ + 1)
+void Member::handle_rejoin_step2(const EnvelopeView& env) {
+  auto step = unwrap<RejoinStep2>(env, keypair_.priv);
+  if (step.nonce_cb_plus1 != nonce_cb_ + 1)
     throw AuthError("rejoin AC failed the nonce challenge");
-  nonce_bc_ = nonce_bc;
 
   const AcInfo* info = directory_.find(rejoin_target_);
   if (info == nullptr) return;
   crypto::RsaPublicKey pub = crypto::RsaPublicKey::deserialize(info->pubkey);
-  // Step 3: {Nonce_BC+1; MAC}_Pub_ac_b — proves we own the ticket's key.
-  WireWriter w;
-  w.u64(nonce_bc_ + 1);
   send_ctrl(info->node, kLabelRejoin,
-            envelope(MsgType::kRejoinStep3,
-                     crypto::pk_encrypt(pub, with_mac(w.data()), prng_)));
+            wrap(RejoinStep3{.nonce_bc_plus1 = step.nonce_bc + 1}, pub,
+                 prng_));
 }
 
-void Member::handle_rejoin_step6(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
+void Member::handle_rejoin_step6(const net::Message& msg,
+                                 const EnvelopeView& env) {
   if (!directory_.verify(rejoin_target_, env.box, env.sig)) return;
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  Bytes ticket = r.bytes();
-  AcId ac_id = r.u64();
-  net::GroupId group = r.u32();
-  std::vector<lkh::PathKey> path = lkh::deserialize_path(r.bytes());
-  std::uint64_t epoch = r.u64();
-  r.expect_done();
+  auto step = unwrap<RejoinStep6>(env, keypair_.priv);
 
-  if (joined_ && area_group_ != group)
+  if (joined_ && area_group_ != step.group)
     network().leave_group(area_group_, id());
-  sealed_ticket_ = std::move(ticket);
-  ac_id_ = ac_id;
+  sealed_ticket_ = std::move(step.ticket);
+  ac_id_ = step.ac_id;
   ac_node_ = msg.from;
-  area_group_ = group;
+  area_group_ = step.group;
   keys_.clear();
-  keys_.install(path);
-  area_epoch_ = epoch;
+  keys_.install(step.path);
+  area_epoch_ = step.epoch;
   recovery_pending_ = false;
   discard_held();
-  network().join_group(group, id());
+  network().join_group(step.group, id());
   joined_ = true;
   rejoin_in_progress_ = false;
   last_heard_ac_ = network().now();
@@ -304,9 +250,7 @@ void Member::handle_rejoin_step6(const net::Message& msg) {
 
 void Member::leave() {
   if (!joined_) return;
-  WireWriter w;
-  w.u64(nic_id_);
-  send_ctrl(ac_node_, kLabelJoin, envelope(MsgType::kLeaveRequest, w.data()));
+  send_ctrl(ac_node_, kLabelJoin, wrap(LeaveRequest{.client_id = nic_id_}));
   network().leave_group(area_group_, id());
   keys_.clear();
   discard_held();
@@ -334,22 +278,21 @@ void Member::send_data(ByteView payload) {
   crypto::SymmetricKey data_key = crypto::SymmetricKey::random(prng_);
   std::uint64_t msg_id = prng_.next_u64();
   seen_data_.insert(msg_id);
-  WireWriter w;
-  w.u64(msg_id);
-  w.u64(nic_id_);
-  w.bytes(data_plane_for(keys_.group_key()).seal(data_key.bytes(), prng_));
-  w.bytes(crypto::sym_seal(data_key, payload, prng_));
+  Bytes key_box =
+      data_plane_for(keys_.group_key()).seal(data_key.bytes(), prng_);
+  Bytes payload_box = crypto::sym_seal(data_key, payload, prng_);
   network().multicast(id(), area_group_, kLabelData,
-                      envelope(MsgType::kData, w.data()));
+                      wrap(Data{.msg_id = msg_id, .sender = nic_id_,
+                                .key_box = key_box,
+                                .payload_box = payload_box}));
   last_sent_ac_ = network().now();  // the AC hears area traffic
 }
 
-void Member::handle_rekey(const net::Message& msg) {
+void Member::handle_rekey(const net::Message& msg, const EnvelopeView& env) {
   if (!joined_ || msg.group != area_group_) return;
-  Envelope env = parse_envelope(msg.payload);
   // Key update messages are signed by the area controller (Section III-E).
   if (!directory_.verify(ac_id_, env.box, env.sig)) return;
-  lkh::RekeyMessage rk = lkh::RekeyMessage::deserialize(env.box);
+  lkh::RekeyMessage rk = unwrap<Rekey>(env).rekey.value;
 
   // Fire-and-forget mode applies every rekey blindly and never recovers:
   // a stale held key leaves the member silently desynchronized (the
@@ -384,23 +327,23 @@ void Member::handle_rekey(const net::Message& msg) {
   if (!held_data_.empty()) request_key_recovery("undecryptable-data");
 }
 
-void Member::handle_split_update(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  keys_.install(lkh::deserialize_path(inner));
+void Member::handle_split_update(const net::Message& msg,
+                                 const EnvelopeView& env) {
+  // The message is sealed to us but neither signed nor fresh: only the
+  // source address ties it to our AC (either of its listed nodes).
+  const AcInfo* info = directory_.find(ac_id_);
+  if (info == nullptr ||
+      (msg.from != info->node && msg.from != info->backup_node))
+    return;
+  keys_.install(unwrap<SplitUpdate>(env, keypair_.priv).path.value);
 }
 
-void Member::handle_data(const net::Message& msg, ByteView box) {
+void Member::handle_data(const net::Message& msg, const EnvelopeView& env) {
   if (!joined_ || msg.group != area_group_) return;
-  WireReader r(box);
-  std::uint64_t msg_id = r.u64();
-  (void)r.u64();  // sender
-  ByteView key_box = r.view();
-  ByteView payload_box = r.view();
-  r.expect_done();
-  if (!seen_data_.insert(msg_id)) return;
+  auto data = unwrap<Data>(env);
+  if (!seen_data_.insert(data.msg_id)) return;
 
-  if (auto plain = try_open(key_box, payload_box)) {
+  if (auto plain = try_open(data.key_box, data.payload_box)) {
     received_data_.push_back(std::move(*plain));
     return;
   }
@@ -413,7 +356,7 @@ void Member::handle_data(const net::Message& msg, ByteView box) {
     held_data_.erase(held_data_.begin());
     ++undecryptable_count_;
   }
-  held_data_.push_back({msg.payload, key_box, payload_box});
+  held_data_.push_back({msg.payload, data.key_box, data.payload_box});
   if (auto* m = network().metrics()) m->counter("member.data_held").inc();
 }
 
@@ -455,39 +398,30 @@ void Member::discard_held() {
   held_data_.clear();
 }
 
-void Member::handle_takeover(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(env.box);
-  WireReader r(inner);
-  AcId who = r.u64();
-  net::NodeId new_node = r.u32();
-  (void)r.u64();  // ts; the watchdog covers staleness here
-  r.expect_done();
-  if (!directory_.verify(who, env.box, env.sig)) return;
+void Member::handle_takeover(const EnvelopeView& env) {
+  // The ts goes unchecked here: the watchdog covers staleness.
+  auto takeover = unwrap<TakeOver>(env);
+  if (!directory_.verify(takeover.ac_id, env.box, env.sig)) return;
   // promote_backup swaps primary and backup; only swap when the directory
   // does not already list the announced node (a repeated announcement must
   // not flip the roles back).
-  if (const AcInfo* info = directory_.find(who);
-      info != nullptr && info->node != new_node)
-    directory_.promote_backup(who);
-  if (who == ac_id_) {
-    ac_node_ = new_node;
+  if (const AcInfo* info = directory_.find(takeover.ac_id);
+      info != nullptr && info->node != takeover.node)
+    directory_.promote_backup(takeover.ac_id);
+  if (takeover.ac_id == ac_id_) {
+    ac_node_ = takeover.node;
     last_heard_ac_ = network().now();
   }
 }
 
-void Member::handle_ac_beacon(const net::Message& msg) {
+void Member::handle_ac_beacon(const EnvelopeView& env) {
   // The AC's idle-area beacon advertises its rekey epoch. It is the only
   // gap signal available when we lost the FINAL rekey of a burst: no later
   // rekey will arrive to reveal the hole, but the beacon does.
-  Envelope env = parse_envelope(msg.payload);
-  WireReader r(env.box);
-  if (r.u8() != kAliveFromAc) return;
-  AcId from_ac = r.u64();
-  std::uint64_t epoch = r.u64();
-  r.expect_done();
-  if (!joined_ || from_ac != ac_id_) return;
-  if (epoch > area_epoch_) request_key_recovery("beacon-gap");
+  auto alive = unwrap<Alive>(env);
+  const auto* beacon = std::get_if<AliveBeacon>(&alive.from);
+  if (beacon == nullptr || !joined_ || beacon->ac_id != ac_id_) return;
+  if (beacon->epoch > area_epoch_) request_key_recovery("beacon-gap");
 }
 
 void Member::request_key_recovery(const char* trigger) {
@@ -506,47 +440,36 @@ void Member::request_key_recovery(const char* trigger) {
   if (auto* m = network().metrics())
     m->counter(std::string("member.key_recovery_requests.") + trigger).inc();
 
-  // {NIC id; AC id; caught-up epoch; Nonce} — plain envelope: it carries no
-  // secrets, and the AC authenticates the requester by membership record +
-  // source node, answering sealed under the member's public key.
-  WireWriter w;
-  w.u64(nic_id_);
-  w.u64(ac_id_);
-  w.u64(area_epoch_);
-  w.u64(recovery_nonce_);
+  // The AC authenticates the requester by membership record + source node,
+  // answering sealed under the member's public key.
   send_ctrl(ac_node_, kLabelRecovery,
-            envelope(MsgType::kKeyRecoveryRequest, w.data()));
+            wrap(KeyRecoveryRequest{.client_id = nic_id_, .ac_id = ac_id_,
+                                    .epoch = area_epoch_,
+                                    .nonce = recovery_nonce_}));
 }
 
-void Member::handle_key_recovery_reply(const net::Message& msg) {
+void Member::handle_key_recovery_reply(const EnvelopeView& env) {
   if (!joined_) return;
-  Envelope env = parse_envelope(msg.payload);
   // Only our AC may install keys into us.
   if (!directory_.verify(ac_id_, env.box, env.sig)) return;
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t nonce_echo = r.u64();
-  AcId ac_id = r.u64();
-  std::uint64_t epoch = r.u64();
-  std::vector<lkh::PathKey> path = lkh::deserialize_path(r.bytes());
-  r.expect_done();
-  if (ac_id != ac_id_) return;
+  auto reply = unwrap<KeyRecoveryReply>(env, keypair_.priv);
+  if (reply.ac_id != ac_id_) return;
   // Nonce echo binds the reply to our outstanding request (anti-replay).
-  if (!recovery_pending_ || nonce_echo != recovery_nonce_ + 1) return;
+  if (!recovery_pending_ || reply.nonce_plus1 != recovery_nonce_ + 1) return;
 
-  if (epoch < area_epoch_) {
+  if (reply.epoch < area_epoch_) {
     // The reply was built before a rekey we have since applied: installing
     // it wholesale would roll keys backward, and the epoch stream would
     // never expose the damage. Take what the version guard allows and let
     // the watchdog re-request a current catch-up.
-    keys_.install(path);
+    keys_.install(reply.path);
     return;
   }
   // Authoritative catch-up: key VERSIONS are per-instance and can regress
   // across a takeover, so the version-guarded install() could silently
   // ignore the new primary's keys. Replace the whole path instead.
-  keys_.reinstall(path);
-  area_epoch_ = epoch;
+  keys_.reinstall(reply.path);
+  area_epoch_ = reply.epoch;
   recovery_pending_ = false;
   ++key_recoveries_;
   if (auto* m = network().metrics())
@@ -556,33 +479,25 @@ void Member::handle_key_recovery_reply(const net::Message& msg) {
   retry_held(true);
 }
 
-void Member::handle_join_shed(const net::Message& msg) {
+void Member::handle_join_shed(const net::Message& msg,
+                              const EnvelopeView& env) {
   // Advisory and unauthenticated (the RS sheds precisely because it cannot
   // afford a signature per rejected request). Worst case a forger delays
   // this one join by the clamped interval; the watchdog still retries.
   if (!join_in_progress_ || joined_ || msg.from != rs_node_) return;
-  Envelope env = parse_envelope(msg.payload);
-  Bytes fields = strip_mac(env.box);
-  WireReader r(fields);
-  std::uint64_t retry_after_ms = std::min<std::uint64_t>(r.u64(), 60'000);
-  r.expect_done();
+  std::uint64_t retry_after_ms =
+      std::min<std::uint64_t>(unwrap<JoinShed>(env).retry_after_ms, 60'000);
   join_backoff_until_ = network().now() + net::msec(retry_after_ms);
   ++sheds_received_;
   if (auto* m = network().metrics()) m->counter("member.sheds_received").inc();
 }
 
-void Member::handle_area_map_update(const net::Message& msg) {
+void Member::handle_area_map_update(const EnvelopeView& env) {
   // RS-signed directory push, re-multicast into the area by our AC. The
   // signature is the authority and adopt() enforces version monotonicity,
   // so no freshness window is needed beyond replay being a no-op.
-  Envelope env = parse_envelope(msg.payload);
   if (!verify_envelope(env, rs_pub_)) return;
-  Bytes fields = strip_mac(env.box);
-  WireReader r(fields);
-  (void)r.u64();  // ts
-  AcDirectory fresh = AcDirectory::deserialize(r.bytes());
-  r.expect_done();
-  if (!directory_.adopt(fresh)) return;
+  if (!directory_.adopt(unwrap<AreaMapUpdate>(env).directory)) return;
   if (auto* m = network().metrics()) m->counter("member.map_updates").inc();
   if (joined_ && directory_.find(ac_id_) == nullptr) {
     // Our area was retired by a merge and we missed the migrate directive
@@ -597,43 +512,33 @@ void Member::handle_area_map_update(const net::Message& msg) {
   }
 }
 
-void Member::handle_migrate_directive(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes fields = strip_mac(env.box);
-  WireReader r(fields);
-  AcId from_ac = r.u64();
-  ClientId who = r.u64();
-  AcId target = r.u64();
-  std::uint64_t ts = r.u64();
-  Bytes map_payload = r.bytes();
-  r.expect_done();
-  if (!joined_ || from_ac != ac_id_ || who != nic_id_) return;
+void Member::handle_migrate_directive(const EnvelopeView& env) {
+  auto directive = unwrap<MigrateDirective>(env);
+  if (!joined_ || directive.from_ac != ac_id_ || directive.client_id != nic_id_)
+    return;
   // Only our own AC may move us, and only recently (replayed directives
   // must not bounce us back after a later move).
-  if (!directory_.verify(from_ac, env.box, env.sig)) return;
+  if (!directory_.verify(directive.from_ac, env.box, env.sig)) return;
   net::SimTime now = network().now();
-  net::SimTime skew = now >= ts ? now - ts : ts - now;
+  net::SimTime skew =
+      now >= directive.ts ? now - directive.ts : directive.ts - now;
   if (skew > config_.ts_window) return;
-  if (!map_payload.empty()) {
+  if (!directive.map_update.empty()) {
     // The directive carries the RS's latest signed map so we can learn a
     // freshly split target before our own copy catches up.
     try {
-      Envelope map_env = parse_envelope(map_payload);
+      EnvelopeView map_env = parse_envelope_view(directive.map_update);
       if (map_env.type == MsgType::kAreaMapUpdate &&
-          verify_envelope(map_env, rs_pub_)) {
-        Bytes map_fields = strip_mac(map_env.box);
-        WireReader mr(map_fields);
-        (void)mr.u64();  // ts
-        directory_.adopt(AcDirectory::deserialize(mr.bytes()));
-      }
+          verify_envelope(map_env, rs_pub_))
+        directory_.adopt(unwrap<AreaMapUpdate>(map_env).directory);
     } catch (const Error&) {
     }
   }
-  if (target == ac_id_ || rejoin_in_progress_) return;
-  if (directory_.find(target) == nullptr) return;
+  if (directive.target == ac_id_ || rejoin_in_progress_) return;
+  if (directory_.find(directive.target) == nullptr) return;
   ++migrations_;
   if (auto* m = network().metrics()) m->counter("member.migrations").inc();
-  rejoin(target);
+  rejoin(directive.target);
 }
 
 AcId Member::next_rejoin_target() const {
@@ -666,11 +571,9 @@ void Member::on_timer(std::uint64_t token) {
     case kTimerAlive: {
       net::SimTime now = network().now();
       if (joined_ && now - last_sent_ac_ >= config_.t_active) {
-        WireWriter w;
-        w.u8(kAliveFromMember);
-        w.u64(nic_id_);
-        network().unicast(id(), ac_node_, kLabelAlive,
-                          envelope(MsgType::kAlive, w.data()));
+        network().unicast(
+            id(), ac_node_, kLabelAlive,
+            wrap(Alive{.from = AliveMember{.client_id = nic_id_}}));
         last_sent_ac_ = now;
       }
       network().set_timer(id(), config_.t_active, timer_token(kTimerAlive));
@@ -809,58 +712,24 @@ void Member::on_message(const net::Message& raw) {
   const net::Message& msg =
       rx == net::ArqEndpoint::Rx::kDeliver ? unwrapped : raw;
 
-  EnvelopeView env;
   try {
-    env = parse_envelope_view(msg.payload);
-  } catch (const Error&) {
-    return;
-  }
-  try {
+    EnvelopeView env = parse_envelope_view(msg.payload);
     switch (env.type) {
-      case MsgType::kJoinStep2:
-        handle_join_step2(msg);
-        break;
-      case MsgType::kJoinStep5:
-        handle_join_step5(msg);
-        break;
-      case MsgType::kJoinStep7:
-        handle_join_step7(msg);
-        break;
-      case MsgType::kRejoinStep2:
-        handle_rejoin_step2(msg);
-        break;
-      case MsgType::kRejoinStep6:
-        handle_rejoin_step6(msg);
-        break;
-      case MsgType::kRekey:
-        handle_rekey(msg);
-        break;
-      case MsgType::kSplitUpdate:
-        handle_split_update(msg);
-        break;
-      case MsgType::kData:
-        handle_data(msg, env.box);
-        break;
-      case MsgType::kTakeOver:
-        handle_takeover(msg);
-        break;
-      case MsgType::kAlive:
-        handle_ac_beacon(msg);
-        break;
-      case MsgType::kKeyRecoveryReply:
-        handle_key_recovery_reply(msg);
-        break;
-      case MsgType::kJoinShed:
-        handle_join_shed(msg);
-        break;
-      case MsgType::kAreaMapUpdate:
-        handle_area_map_update(msg);
-        break;
-      case MsgType::kMigrateDirective:
-        handle_migrate_directive(msg);
-        break;
-      default:
-        break;
+      case MsgType::kJoinStep2: return handle_join_step2(env);
+      case MsgType::kJoinStep5: return handle_join_step5(env);
+      case MsgType::kJoinStep7: return handle_join_step7(msg, env);
+      case MsgType::kRejoinStep2: return handle_rejoin_step2(env);
+      case MsgType::kRejoinStep6: return handle_rejoin_step6(msg, env);
+      case MsgType::kRekey: return handle_rekey(msg, env);
+      case MsgType::kSplitUpdate: return handle_split_update(msg, env);
+      case MsgType::kData: return handle_data(msg, env);
+      case MsgType::kTakeOver: return handle_takeover(env);
+      case MsgType::kAlive: return handle_ac_beacon(env);
+      case MsgType::kKeyRecoveryReply: return handle_key_recovery_reply(env);
+      case MsgType::kJoinShed: return handle_join_shed(msg, env);
+      case MsgType::kAreaMapUpdate: return handle_area_map_update(env);
+      case MsgType::kMigrateDirective: return handle_migrate_directive(env);
+      default: return;
     }
   } catch (const Error&) {
     // Hostile or stale input: drop. Clients must be unconditionally robust

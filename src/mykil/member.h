@@ -120,15 +120,17 @@ class Member : public net::Node {
   }
 
  private:
-  void handle_join_step2(const net::Message& msg);
-  void handle_join_step5(const net::Message& msg);
-  void handle_join_step7(const net::Message& msg);
-  void handle_rejoin_step2(const net::Message& msg);
-  void handle_rejoin_step6(const net::Message& msg);
-  void handle_rekey(const net::Message& msg);
-  void handle_split_update(const net::Message& msg);
-  /// `box` is the envelope's box, a view into msg.payload.
-  void handle_data(const net::Message& msg, ByteView box);
+  // Each handler reads the envelope on_message parsed, a view into
+  // msg.payload.
+  void handle_join_step2(const EnvelopeView& env);
+  void handle_join_step5(const EnvelopeView& env);
+  void handle_join_step7(const net::Message& msg, const EnvelopeView& env);
+  void handle_rejoin_step2(const EnvelopeView& env);
+  void handle_rejoin_step6(const net::Message& msg, const EnvelopeView& env);
+  void handle_rekey(const net::Message& msg, const EnvelopeView& env);
+  /// Key paths are accepted only from our AC's listed nodes.
+  void handle_split_update(const net::Message& msg, const EnvelopeView& env);
+  void handle_data(const net::Message& msg, const EnvelopeView& env);
   /// Open a data packet's sealed data key and payload under the current or
   /// the previous group key; nullopt when neither opens it.
   [[nodiscard]] std::optional<Bytes> try_open(ByteView key_box,
@@ -138,17 +140,17 @@ class Member : public net::Node {
   void retry_held(bool recovered);
   /// Discard every held packet unread: the membership it arrived in ended.
   void discard_held();
-  void handle_takeover(const net::Message& msg);
+  void handle_takeover(const EnvelopeView& env);
   /// RS load-shed reply to step 1: back off before retrying the join.
-  void handle_join_shed(const net::Message& msg);
+  void handle_join_shed(const net::Message& msg, const EnvelopeView& env);
   /// Versioned directory push (RS-signed, re-multicast by our AC).
-  void handle_area_map_update(const net::Message& msg);
+  void handle_area_map_update(const EnvelopeView& env);
   /// Our AC directs us to rejoin a sibling area (split/merge rebalancing).
-  void handle_migrate_directive(const net::Message& msg);
+  void handle_migrate_directive(const EnvelopeView& env);
   /// AC idle-beacon: compare the advertised rekey epoch with ours and
   /// start key recovery on a gap (catches a lost final-rekey).
-  void handle_ac_beacon(const net::Message& msg);
-  void handle_key_recovery_reply(const net::Message& msg);
+  void handle_ac_beacon(const EnvelopeView& env);
+  void handle_key_recovery_reply(const EnvelopeView& env);
   void trigger_mobility_rejoin();
   /// Next directory entry after the current rejoin target (wrapping) — the
   /// retry rotation that unsticks rejoins aimed at a stale AC address.
@@ -173,11 +175,8 @@ class Member : public net::Node {
 
   // join/rejoin session state
   std::uint64_t nonce_cw_ = 0;
-  std::uint64_t nonce_wc_ = 0;
-  std::uint64_t nonce_ac_ = 0;
   std::uint64_t nonce_ca_ = 0;
   std::uint64_t nonce_cb_ = 0;
-  std::uint64_t nonce_bc_ = 0;
   net::NodeId rs_node_ = net::kNoNode;
   bool join_in_progress_ = false;
   net::SimDuration requested_duration_ = 0;

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "crypto/sealed.h"
+#include "mykil/messages.h"
 #include "obs/metrics.h"
 
 namespace mykil::core {
@@ -99,26 +100,13 @@ void RegistrationServer::on_message(const net::Message& raw) {
   const net::Message& msg =
       rx == net::ArqEndpoint::Rx::kDeliver ? unwrapped : raw;
 
-  Envelope env;
   try {
-    env = parse_envelope(msg.payload);
-  } catch (const WireError&) {
-    ++rejected_;
-    return;
-  }
-  try {
+    EnvelopeView env = parse_envelope_view(msg.payload);
     switch (env.type) {
-      case MsgType::kJoinStep1:
-        admit_step1(msg);
-        break;
-      case MsgType::kJoinStep3:
-        handle_step3(msg);
-        break;
-      case MsgType::kLoadReport:
-        handle_load_report(msg);
-        break;
-      default:
-        break;  // not for the RS
+      case MsgType::kJoinStep1: return admit_step1(msg, env);
+      case MsgType::kJoinStep3: return handle_step3(env);
+      case MsgType::kLoadReport: return handle_load_report(msg, env);
+      default: return;  // not for the RS
     }
   } catch (const Error&) {
     // Malformed, unauthentic, or replayed input: drop, never crash.
@@ -138,9 +126,10 @@ void RegistrationServer::refill_bucket() {
   }
 }
 
-void RegistrationServer::admit_step1(const net::Message& msg) {
+void RegistrationServer::admit_step1(const net::Message& msg,
+                                     const EnvelopeView& env) {
   if (config_.admission_rate <= 0) {
-    handle_step1(msg);  // admission control disabled: legacy inline path
+    handle_step1(msg.from, env);  // admission control disabled: inline path
     return;
   }
   refill_bucket();
@@ -148,7 +137,7 @@ void RegistrationServer::admit_step1(const net::Message& msg) {
   if (tokens_ >= 1.0) {
     tokens_ -= 1.0;
     if (m != nullptr) m->counter("rs.admitted").inc();
-    handle_step1(msg);
+    handle_step1(msg.from, env);
     return;
   }
   if (admission_queue_.size() < config_.admission_queue_limit) {
@@ -167,10 +156,9 @@ void RegistrationServer::admit_step1(const net::Message& msg) {
     m->gauge("rs.admission_queue_depth")
         .set(static_cast<std::int64_t>(admission_queue_.size()));
   }
-  WireWriter w;
-  w.u64(config_.shed_retry_after / 1000);  // retry-after, ms
-  network().unicast(id(), msg.from, kLabelAdmin,
-                    envelope(MsgType::kJoinShed, with_mac(w.data())));
+  network().unicast(
+      id(), msg.from, kLabelAdmin,
+      wrap(JoinShed{.retry_after_ms = config_.shed_retry_after / 1000}));
 }
 
 void RegistrationServer::drain_admission_queue() {
@@ -179,14 +167,9 @@ void RegistrationServer::drain_admission_queue() {
     Parked p = std::move(admission_queue_.front());
     admission_queue_.pop_front();
     tokens_ -= 1.0;
-    net::Message replay;
-    replay.from = p.from;
-    replay.to = id();
-    replay.label = kLabelJoin;
-    replay.payload = std::move(p.payload);
     if (auto* m = network().metrics()) m->counter("rs.admitted").inc();
     try {
-      handle_step1(replay);
+      handle_step1(p.from, parse_envelope_view(p.payload));
     } catch (const Error&) {
       ++rejected_;
     }
@@ -196,41 +179,26 @@ void RegistrationServer::drain_admission_queue() {
         .set(static_cast<std::int64_t>(admission_queue_.size()));
 }
 
-void RegistrationServer::handle_step1(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  // Step 1: {[auth-info]; Pub_k; Nonce_CW; MAC}_Pub_rs
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  ClientId client_id = r.u64();
-  net::SimDuration requested = r.u64();
-  Bytes client_pub = r.bytes();
-  std::uint64_t nonce_cw = r.u64();
-  r.expect_done();
-
-  auto auth = auth_db_.find(client_id);
+void RegistrationServer::handle_step1(net::NodeId from,
+                                      const EnvelopeView& env) {
+  auto step = unwrap<JoinStep1>(env, keypair_.priv);
+  auto auth = auth_db_.find(step.client_id);
   if (auth == auth_db_.end()) {
     ++rejected_;
     return;  // not eligible; silently ignore (no oracle for attackers)
   }
-  net::SimDuration granted = std::min(requested, auth->second);
 
-  Session s;
-  s.client_node = msg.from;
-  s.client_id = client_id;
-  s.client_pubkey = client_pub;
-  s.nonce_cw = nonce_cw;
-  s.nonce_wc = prng_.next_u64();
-  s.duration = granted;
+  Session s{.client_node = from, .client_id = step.client_id,
+            .client_pubkey = step.client_pubkey, .nonce_wc = prng_.next_u64(),
+            .duration = std::min(step.duration, auth->second)};
   pending_[s.nonce_wc + 1] = s;
 
-  // Step 2: {Nonce_CW+1; Nonce_WC; MAC}_Pub_k
-  WireWriter w;
-  w.u64(nonce_cw + 1);
-  w.u64(s.nonce_wc);
-  crypto::RsaPublicKey pub = crypto::RsaPublicKey::deserialize(client_pub);
-  send_ctrl(msg.from, kLabelJoin,
-            envelope(MsgType::kJoinStep2,
-                     crypto::pk_encrypt(pub, with_mac(w.data()), prng_)));
+  crypto::RsaPublicKey pub =
+      crypto::RsaPublicKey::deserialize(step.client_pubkey);
+  send_ctrl(from, kLabelJoin,
+            wrap(JoinStep2{.nonce_cw_plus1 = step.nonce_cw + 1,
+                           .nonce_wc = s.nonce_wc},
+                 pub, prng_));
 }
 
 const AcInfo& RegistrationServer::pick_area() {
@@ -257,15 +225,10 @@ const AcInfo& RegistrationServer::pick_area() {
   return info;
 }
 
-void RegistrationServer::handle_step3(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  // Step 3: {Nonce_WC+1; MAC}_Pub_rs — authenticates the client.
-  Bytes inner = strip_mac(crypto::pk_decrypt(keypair_.priv, env.box));
-  WireReader r(inner);
-  std::uint64_t response = r.u64();
-  r.expect_done();
-
-  auto it = pending_.find(response);
+void RegistrationServer::handle_step3(const EnvelopeView& env) {
+  // Step 3 authenticates the client.
+  auto step = unwrap<JoinStep3>(env, keypair_.priv);
+  auto it = pending_.find(step.nonce_wc_plus1);
   if (it == pending_.end()) {
     ++rejected_;
     return;  // wrong challenge answer or replay
@@ -277,55 +240,28 @@ void RegistrationServer::handle_step3(const net::Message& msg) {
   std::uint64_t nonce_ac = prng_.next_u64();
   net::SimTime now = network().now();
 
-  // Step 4 (RS -> AC): {Nonce_AC; K_id; ts; Pub_k; duration; MAC}_Pub_ac,
-  // signed by the RS.
-  {
-    WireWriter w;
-    w.u64(nonce_ac);
-    w.u64(s.client_id);
-    w.u64(now);
-    w.bytes(s.client_pubkey);
-    w.u64(s.duration);
-    crypto::RsaPublicKey ac_pub = crypto::RsaPublicKey::deserialize(area.pubkey);
-    send_ctrl(
-        area.node, kLabelJoin,
-        signed_envelope(MsgType::kJoinStep4,
-                        crypto::pk_encrypt(ac_pub, with_mac(w.data()), prng_),
-                        keypair_.priv));
-  }
-
-  // Step 5 (RS -> client): {Nonce_AC+1; AC info; directory; MAC}_Pub_k,
-  // signed by the RS.
-  {
-    WireWriter w;
-    w.u64(nonce_ac + 1);
-    w.u64(area.ac_id);
-    w.u32(area.node);
-    w.bytes(area.pubkey);
-    w.bytes(directory_.serialize());
-    crypto::RsaPublicKey client_pub =
-        crypto::RsaPublicKey::deserialize(s.client_pubkey);
-    send_ctrl(
-        s.client_node, kLabelJoin,
-        signed_envelope(MsgType::kJoinStep5,
-                        crypto::pk_encrypt(client_pub, with_mac(w.data()), prng_),
-                        keypair_.priv));
-  }
+  // Step 4 introduces the client to its AC; step 5 hands the client the
+  // AC and the directory. Both are signed by the RS.
+  send_ctrl(area.node, kLabelJoin,
+            wrap(JoinStep4{.nonce_ac = nonce_ac, .client_id = s.client_id,
+                           .ts = now, .client_pubkey = s.client_pubkey,
+                           .duration = s.duration},
+                 crypto::RsaPublicKey::deserialize(area.pubkey), prng_,
+                 keypair_.priv));
+  send_ctrl(s.client_node, kLabelJoin,
+            wrap(JoinStep5{.nonce_ac_plus1 = nonce_ac + 1, .ac_id = area.ac_id,
+                           .ac_node = area.node, .ac_pubkey = area.pubkey,
+                           .directory = directory_},
+                 crypto::RsaPublicKey::deserialize(s.client_pubkey), prng_,
+                 keypair_.priv));
   ++completed_;
 }
 
 // ------------------------------------------- rebalancing (DESIGN 14.1-14.2)
 
-void RegistrationServer::handle_load_report(const net::Message& msg) {
-  Envelope env = parse_envelope(msg.payload);
-  Bytes inner = strip_mac(env.box);
-  WireReader r(inner);
-  AcId ac_id = r.u64();
-  std::uint32_t members = r.u32();
-  std::uint64_t rekey_epoch = r.u64();
-  net::SimTime ts = r.u64();
-  r.expect_done();
-
+void RegistrationServer::handle_load_report(const net::Message& msg,
+                                            const EnvelopeView& env) {
+  auto [ac_id, members, rekey_epoch, ts] = unwrap<LoadReport>(env);
   net::SimTime now = network().now();
   if (ts + config_.ts_window < now || ts > now + config_.ts_window)
     throw AuthError("load report outside timestamp window");
@@ -472,12 +408,9 @@ void RegistrationServer::broadcast_map_update(const AcInfo* extra) {
   if (auto* m = network().metrics())
     m->gauge("rs.map_version")
         .set(static_cast<std::int64_t>(directory_.version()));
-  WireWriter f;
-  f.u64(network().now());
-  f.bytes(directory_.serialize());
-  Bytes payload =
-      signed_envelope(MsgType::kAreaMapUpdate, with_mac(f.data()),
-                      keypair_.priv);
+  Bytes payload = wrap(
+      AreaMapUpdate{.ts = network().now(), .directory = directory_},
+      keypair_.priv);
   auto push = [&](const AcInfo& e) {
     send_ctrl(e.node, kLabelAdmin, payload);
     if (e.has_backup()) send_ctrl(e.backup_node, kLabelAdmin, payload);
@@ -488,16 +421,11 @@ void RegistrationServer::broadcast_map_update(const AcInfo* extra) {
 
 void RegistrationServer::send_migrate_request(const AcInfo& src, AcId target,
                                               std::uint32_t count) {
-  WireWriter f;
-  f.u64(target);
-  f.u32(count);
-  f.u64(network().now());
-  crypto::RsaPublicKey ac_pub = crypto::RsaPublicKey::deserialize(src.pubkey);
   send_ctrl(src.node, kLabelAdmin,
-            signed_envelope(MsgType::kMigrateRequest,
-                            crypto::pk_encrypt(ac_pub, with_mac(f.data()),
-                                               prng_),
-                            keypair_.priv));
+            wrap(MigrateRequest{.target = target, .count = count,
+                                .ts = network().now()},
+                 crypto::RsaPublicKey::deserialize(src.pubkey), prng_,
+                 keypair_.priv));
 }
 
 // ------------------------------------------------ checkpoint (DESIGN 14.4)

@@ -93,7 +93,6 @@ class RegistrationServer : public net::Node {
     net::NodeId client_node = net::kNoNode;
     ClientId client_id = 0;
     Bytes client_pubkey;  // serialized
-    std::uint64_t nonce_cw = 0;
     std::uint64_t nonce_wc = 0;
     net::SimDuration duration = 0;
   };
@@ -118,12 +117,12 @@ class RegistrationServer : public net::Node {
     std::size_t moved_goal = 0;  ///< split: members the source was asked to shed
   };
 
-  void handle_step1(const net::Message& msg);
-  void handle_step3(const net::Message& msg);
-  void handle_load_report(const net::Message& msg);
+  void handle_step1(net::NodeId from, const EnvelopeView& env);
+  void handle_step3(const EnvelopeView& env);
+  void handle_load_report(const net::Message& msg, const EnvelopeView& env);
   /// Token-bucket front door for step 1; either admits inline, parks the
   /// request, or sheds it with a retry-after reply.
-  void admit_step1(const net::Message& msg);
+  void admit_step1(const net::Message& msg, const EnvelopeView& env);
   void refill_bucket();
   void drain_admission_queue();
   void rebalance();

@@ -12,32 +12,25 @@ Bytes with_mac(ByteView fields) {
   return out;
 }
 
-Bytes strip_mac(ByteView blob) {
+ByteView strip_mac(ByteView blob) {
   constexpr std::size_t kMacLen = crypto::Sha256::kDigestSize;
   if (blob.size() < kMacLen) throw AuthError("message shorter than its MAC");
-  ByteView fields(blob.data(), blob.size() - kMacLen);
-  ByteView mac(blob.data() + blob.size() - kMacLen, kMacLen);
-  if (!ct_equal(crypto::Sha256::digest(fields), mac))
+  ByteView fields = blob.first(blob.size() - kMacLen);
+  if (!ct_equal(crypto::Sha256::digest(fields), blob.last(kMacLen)))
     throw AuthError("message MAC mismatch");
-  return Bytes(fields.begin(), fields.end());
+  return fields;
 }
 
-Bytes envelope(MsgType type, ByteView box) {
+Bytes envelope(MsgType type, ByteView box,
+               const crypto::RsaPrivateKey* signer) {
   WireWriter w;
   w.u8(static_cast<std::uint8_t>(type));
-  w.u8(0);  // unsigned
+  w.u8(signer != nullptr ? 1 : 0);
   w.bytes(box);
-  return w.take();
-}
-
-Bytes signed_envelope(MsgType type, ByteView box,
-                      const crypto::RsaPrivateKey& signer) {
-  WireWriter w;
-  w.u8(static_cast<std::uint8_t>(type));
-  w.u8(1);  // signed
-  w.bytes(box);
-  crypto::pk_count_sign();
-  w.bytes(crypto::rsa_sign(signer, box));
+  if (signer != nullptr) {
+    crypto::pk_count_sign();
+    w.bytes(crypto::rsa_sign(*signer, box));
+  }
   return w.take();
 }
 
@@ -52,13 +45,7 @@ EnvelopeView parse_envelope_view(ByteView packet) {
   return env;
 }
 
-Envelope parse_envelope(ByteView packet) {
-  EnvelopeView v = parse_envelope_view(packet);
-  return {v.type, Bytes(v.box.begin(), v.box.end()),
-          Bytes(v.sig.begin(), v.sig.end())};
-}
-
-bool verify_envelope(const Envelope& env, const crypto::RsaPublicKey& pub) {
+bool verify_envelope(const EnvelopeView& env, const crypto::RsaPublicKey& pub) {
   if (env.sig.empty()) return false;
   crypto::pk_count_verify();
   return crypto::rsa_verify(pub, env.box, env.sig);

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "mykil/group.h"
+#include "mykil/messages.h"
 
 namespace mykil::core {
 namespace {
@@ -231,7 +232,7 @@ TEST(MykilBatching, RekeyMessagesAreSignedAndVerified) {
   crypto::RsaKeyPair attacker = crypto::rsa_generate(768, prng);
   lkh::RekeyMessage fake;
   fake.epoch = 999;
-  Bytes packet = signed_envelope(MsgType::kRekey, fake.serialize(), attacker.priv);
+  Bytes packet = wrap(Rekey{.rekey = {fake}}, attacker.priv);
   w.net.multicast(members[1]->id(), w.group.ac(0).area_group(), "attack",
                   std::move(packet));
   w.group.settle();

@@ -7,6 +7,7 @@
 #include "common/error.h"
 #include "crypto/sealed.h"
 #include "mykil/group.h"
+#include "mykil/messages.h"
 
 namespace mykil::core {
 namespace {
@@ -211,13 +212,9 @@ TEST(MykilJoin, ReplayedStep6IsIgnored) {
   // We reconstruct a syntactically valid but unknown step-6 box instead of
   // capturing (the simulator does not expose sniffing): the AC must drop it.
   crypto::Prng prng(55);
-  WireWriter fields;
-  fields.u64(123456);  // bogus Nonce_AC+2
-  fields.u64(777);
-  Bytes packet = envelope(
-      MsgType::kJoinStep6,
-      crypto::pk_encrypt(w.group.ac(0).public_key(), with_mac(fields.data()),
-                         prng));
+  Bytes packet = wrap(JoinStep6{.nonce_ac_plus2 = 123456,  // bogus
+                                .nonce_ca = 777},
+                      w.group.ac(0).public_key(), prng);
   w.net.unicast(m->id(), w.group.ac(0).id(), "attack", std::move(packet));
   w.group.settle();
   EXPECT_EQ(w.group.ac(0).counters().joins, joins_before);
@@ -229,16 +226,13 @@ TEST(MykilJoin, ForgedStep4WithoutRsSignatureIgnored) {
   // encrypt to the AC's public key but cannot produce the RS signature.
   crypto::Prng prng(66);
   crypto::RsaKeyPair attacker = crypto::rsa_generate(768, prng);
-  WireWriter fields;
-  fields.u64(1);                       // nonce_ac
-  fields.u64(31337);                   // client id
-  fields.u64(w.net.now());             // ts
-  fields.bytes(attacker.pub.serialize());
-  fields.u64(net::sec(3600));
-  Bytes box = crypto::pk_encrypt(w.group.ac(0).public_key(),
-                                 with_mac(fields.data()), prng);
   // Signed with the attacker's own key, not the RS key.
-  Bytes packet = signed_envelope(MsgType::kJoinStep4, box, attacker.priv);
+  Bytes packet = wrap(JoinStep4{.nonce_ac = 1,
+                                .client_id = 31337,
+                                .ts = w.net.now(),
+                                .client_pubkey = attacker.pub.serialize(),
+                                .duration = net::sec(3600)},
+                      w.group.ac(0).public_key(), prng, attacker.priv);
 
   net::NodeId fake = 0;  // send "from" the RS's node id is impossible; use any
   (void)fake;

@@ -10,7 +10,7 @@
 
 #include "common/error.h"
 #include "mykil/group.h"
-#include "mykil/wire.h"
+#include "mykil/messages.h"
 #include "obs/metrics.h"
 
 namespace mykil::core {
@@ -106,13 +106,11 @@ TEST(MykilRecovery, DepartedMemberGetsNoRecoveryAnswer) {
   w.group.settle(net::sec(2));
   ASSERT_EQ(w.group.ac(0).counters().key_recoveries_served, 0u);
 
-  WireWriter req;
-  req.u64(m2->client_id());          // departed member
-  req.u64(w.group.ac(0).ac_id());    // correct area
-  req.u64(0);                        // claimed epoch
-  req.u64(12345);                    // nonce
   w.net.unicast(m2->id(), w.group.ac(0).id(), "mykil-recovery",
-                envelope(MsgType::kKeyRecoveryRequest, req.data()));
+                wrap(KeyRecoveryRequest{.client_id = m2->client_id(),  // gone
+                                        .ac_id = w.group.ac(0).ac_id(),
+                                        .epoch = 0,
+                                        .nonce = 12345}));
   w.group.settle(net::sec(1));
   EXPECT_EQ(w.group.ac(0).counters().key_recoveries_served, 0u);
 }
@@ -124,22 +122,18 @@ TEST(MykilRecovery, SpoofedAndWrongAreaRequestsIgnored) {
   w.group.settle(net::sec(1));
 
   // From the wrong node: anti-spoofing rejects even a valid member id.
-  WireWriter spoof;
-  spoof.u64(m1->client_id());
-  spoof.u64(w.group.ac(0).ac_id());
-  spoof.u64(0);
-  spoof.u64(1);
   w.net.unicast(w.group.rs().id(), w.group.ac(0).id(), "mykil-recovery",
-                envelope(MsgType::kKeyRecoveryRequest, spoof.data()));
+                wrap(KeyRecoveryRequest{.client_id = m1->client_id(),
+                                        .ac_id = w.group.ac(0).ac_id(),
+                                        .epoch = 0,
+                                        .nonce = 1}));
 
   // For the wrong area: stale directory or replay, dropped on arrival.
-  WireWriter wrong;
-  wrong.u64(m1->client_id());
-  wrong.u64(w.group.ac(0).ac_id() + 999);
-  wrong.u64(0);
-  wrong.u64(2);
   w.net.unicast(m1->id(), w.group.ac(0).id(), "mykil-recovery",
-                envelope(MsgType::kKeyRecoveryRequest, wrong.data()));
+                wrap(KeyRecoveryRequest{.client_id = m1->client_id(),
+                                        .ac_id = w.group.ac(0).ac_id() + 999,
+                                        .epoch = 0,
+                                        .nonce = 2}));
 
   w.group.settle(net::sec(1));
   EXPECT_EQ(w.group.ac(0).counters().key_recoveries_served, 0u);
@@ -285,14 +279,14 @@ TEST(MykilRecovery, ForgedDataWaitsForTheWatchdogAndIsDiscarded) {
   next_tick += tick;
 
   const std::size_t forged = Member::kMaxHeldData + 4;
+  const Bytes payload_box(40, 0xAB);  // "sealed" payload
   for (std::size_t i = 0; i < forged; ++i) {
-    WireWriter w;
-    w.u64(0xF00D0000 + i);  // fresh message id
-    w.u64(99);              // claimed sender
-    w.bytes(Bytes(40, static_cast<std::uint8_t>(i)));  // "sealed" data key
-    w.bytes(Bytes(40, 0xAB));                          // "sealed" payload
+    const Bytes key_box(40, static_cast<std::uint8_t>(i));  // "sealed" key
     net.multicast(group.rs().id(), group.ac(0).area_group(), "mykil-data",
-                  envelope(MsgType::kData, w.data()));
+                  wrap(Data{.msg_id = 0xF00D0000 + i,  // fresh message id
+                            .sender = 99,
+                            .key_box = key_box,
+                            .payload_box = payload_box}));
   }
   const char* asks = "member.key_recovery_requests.undecryptable-data";
   net.run_until(next_tick - 1);

@@ -16,6 +16,7 @@
 #include "common/error.h"
 #include "crypto/sealed.h"
 #include "mykil/group.h"
+#include "mykil/messages.h"
 
 namespace mykil::core {
 namespace {
@@ -219,6 +220,38 @@ TEST(Secrecy, TicketConfidentiality_NicAndKeyNotOnTheWire) {
   Bytes nic = {0xDD, 0xCC, 0xBB, 0xAA, 0x99, 0x88};
   auto it = std::search(sealed.begin(), sealed.end(), nic.begin(), nic.end());
   EXPECT_EQ(it, sealed.end());
+}
+
+TEST(Secrecy, KeyPathsAreInstalledOnlyFromTheMembersAc) {
+  // Anyone who knows a member's public key can seal a key path to it, and a
+  // split update carries no signature and no nonce: the source address is
+  // all that ties it to the member's AC. A forged root key with a far-ahead
+  // version would otherwise become the member's group key.
+  World w;
+  crypto::Prng prng(91);
+  crypto::RsaKeyPair keys = crypto::rsa_generate(768, prng);
+  Member victim(1, w.group.config(), keys, w.group.rs_public_key(),
+                prng.fork());
+  w.net.attach(victim);
+  w.group.rs().authorize(1, net::sec(3600));
+  w.group.join_member(victim, net::sec(3600));
+  ASSERT_TRUE(victim.joined());
+  const crypto::SymmetricKey area_key = victim.keys().group_key();
+
+  const crypto::SymmetricKey forged = crypto::SymmetricKey::random(prng);
+  auto forged_path = [&] {
+    return wrap(SplitUpdate{.path = {KeyPath{{0, 1'000'000, forged}}}},
+                keys.pub, prng);
+  };
+  w.net.unicast(w.group.rs().id(), victim.id(), "attack", forged_path());
+  w.group.settle();
+  EXPECT_TRUE(victim.keys().group_key() == area_key);
+
+  // The same packet from the AC's node is installed: the check is the
+  // sender, not a malformed packet.
+  w.net.unicast(w.group.ac(0).id(), victim.id(), "attack", forged_path());
+  w.group.settle();
+  EXPECT_TRUE(victim.keys().group_key() == forged);
 }
 
 }  // namespace

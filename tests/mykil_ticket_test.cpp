@@ -3,8 +3,8 @@
 
 #include "common/error.h"
 #include "mykil/directory.h"
+#include "mykil/messages.h"
 #include "mykil/ticket.h"
-#include "mykil/wire.h"
 
 namespace mykil::core {
 namespace {
@@ -73,7 +73,9 @@ TEST(Ticket, ExpiredTicketRejected) {
 TEST(WireMac, RoundTrip) {
   Bytes fields = to_bytes("nonce and friends");
   Bytes blob = with_mac(fields);
-  EXPECT_EQ(strip_mac(blob), fields);
+  ByteView stripped = strip_mac(blob);
+  EXPECT_EQ(Bytes(stripped.begin(), stripped.end()), fields);
+  EXPECT_EQ(stripped.data(), blob.data());  // a view, not a copy
 }
 
 TEST(WireMac, DetectsTampering) {
@@ -83,40 +85,49 @@ TEST(WireMac, DetectsTampering) {
 }
 
 TEST(WireMac, TooShortRejected) {
-  EXPECT_THROW(strip_mac(Bytes(5, 0)), AuthError);
+  Bytes blob(5, 0);
+  EXPECT_THROW(strip_mac(blob), AuthError);
 }
 
 TEST(WireEnvelope, UnsignedRoundTrip) {
-  Bytes packet = envelope(MsgType::kAlive, to_bytes("box"));
-  Envelope env = parse_envelope(packet);
-  EXPECT_EQ(env.type, MsgType::kAlive);
-  EXPECT_EQ(to_string(env.box), "box");
+  Bytes packet = wrap(LeaveRequest{.client_id = 42});
+  EnvelopeView env = parse_envelope_view(packet);
+  EXPECT_EQ(env.type, MsgType::kLeaveRequest);
+  EXPECT_EQ(unwrap<LeaveRequest>(env).client_id, 42u);
   EXPECT_TRUE(env.sig.empty());
+}
+
+lkh::RekeyMessage sample_rekey() {
+  lkh::RekeyMessage rk;
+  rk.epoch = 7;
+  rk.entries.push_back({1, 2, 3, to_bytes("payload")});
+  return rk;
 }
 
 TEST(WireEnvelope, SignedRoundTripAndVerify) {
   crypto::Prng prng(5);
   crypto::RsaKeyPair kp = crypto::rsa_generate(512, prng);
-  Bytes packet = signed_envelope(MsgType::kRekey, to_bytes("payload"), kp.priv);
-  Envelope env = parse_envelope(packet);
+  Bytes packet = wrap(Rekey{.rekey = {sample_rekey()}}, kp.priv);
+  EnvelopeView env = parse_envelope_view(packet);
   EXPECT_EQ(env.type, MsgType::kRekey);
   EXPECT_TRUE(verify_envelope(env, kp.pub));
+  EXPECT_EQ(unwrap<Rekey>(env).rekey.value.serialize(),
+            sample_rekey().serialize());
 
   // Wrong key fails; unsigned envelope fails.
   crypto::Prng prng2(6);
   crypto::RsaKeyPair other = crypto::rsa_generate(512, prng2);
   EXPECT_FALSE(verify_envelope(env, other.pub));
-  Envelope unsigned_env = parse_envelope(envelope(MsgType::kRekey, to_bytes("p")));
-  EXPECT_FALSE(verify_envelope(unsigned_env, kp.pub));
+  Bytes unsigned_packet = wrap(LeaveRequest{.client_id = 42});
+  EXPECT_FALSE(verify_envelope(parse_envelope_view(unsigned_packet), kp.pub));
 }
 
 TEST(WireEnvelope, SignatureCoversBox) {
   crypto::Prng prng(5);
   crypto::RsaKeyPair kp = crypto::rsa_generate(512, prng);
-  Bytes packet = signed_envelope(MsgType::kRekey, to_bytes("payload"), kp.priv);
-  Envelope env = parse_envelope(packet);
-  env.box[0] ^= 1;
-  EXPECT_FALSE(verify_envelope(env, kp.pub));
+  Bytes packet = wrap(Rekey{.rekey = {sample_rekey()}}, kp.priv);
+  packet[6] ^= 1;  // first box byte, after type, flag and box length
+  EXPECT_FALSE(verify_envelope(parse_envelope_view(packet), kp.pub));
 }
 
 TEST(Directory, AddFindPromote) {

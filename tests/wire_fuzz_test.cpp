@@ -1,7 +1,8 @@
 // Deserializer hardening: every parser that consumes network bytes must
 // reject arbitrary garbage with a typed error — never crash, hang, or
 // read out of bounds. Seeded random blobs + targeted mutations of valid
-// encodings.
+// encodings; every message in the schema (mykil/messages.h) is covered
+// through its own decoder.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -13,6 +14,7 @@
 #include "mykil/ticket.h"
 #include "mykil/wire.h"
 #include "net/arq.h"
+#include "wire_samples.h"
 
 namespace mykil {
 namespace {
@@ -111,7 +113,7 @@ TEST(WireFuzz, DirectorySurvivesGarbageAndMutation) {
 }
 
 TEST(WireFuzz, EnvelopeSurvivesGarbage) {
-  fuzz([](const Bytes& b) { core::parse_envelope(b); }, 106);
+  fuzz([](const Bytes& b) { core::parse_envelope_view(b); }, 106);
 }
 
 TEST(WireFuzz, EnvelopeViewStaysInsideThePacket) {
@@ -162,120 +164,6 @@ TEST(WireFuzz, ArqFrameSurvivesMutationAndTruncation) {
   mutate([](const Bytes& b) { net::ArqFrame::parse(b); }, ack.serialize());
 }
 
-TEST(WireFuzz, KeyRecoveryRequestBodySurvivesGarbage) {
-  // The recovery request body is {client; area; epoch; nonce} behind an
-  // envelope; the reader must reject short and oversized bodies alike.
-  fuzz(
-      [](const Bytes& b) {
-        WireReader r(b);
-        (void)r.u64();
-        (void)r.u64();
-        (void)r.u64();
-        (void)r.u64();
-        r.expect_done();
-      },
-      109);
-}
-
-TEST(WireFuzz, AreaMapUpdateBodySurvivesGarbage) {
-  // {ts; bytes(directory)} behind an RS-signed envelope (DESIGN.md 14).
-  fuzz(
-      [](const Bytes& b) {
-        Bytes fields = core::strip_mac(b);
-        WireReader r(fields);
-        (void)r.u64();
-        core::AcDirectory::deserialize(r.bytes());
-        r.expect_done();
-      },
-      110);
-}
-
-TEST(WireFuzz, AreaMapUpdateBodySurvivesMutation) {
-  core::AcDirectory dir;
-  core::AcInfo a;
-  a.ac_id = core::kAcIdBase + 1;
-  a.node = 4;
-  a.group = 5;
-  a.pubkey = to_bytes("pk");
-  dir.add(a);
-  dir.set_version(3);
-  WireWriter w;
-  w.u64(123456);
-  w.bytes(dir.serialize());
-  mutate(
-      [](const Bytes& b) {
-        Bytes fields = core::strip_mac(b);
-        WireReader r(fields);
-        (void)r.u64();
-        core::AcDirectory::deserialize(r.bytes());
-        r.expect_done();
-      },
-      core::with_mac(w.data()));
-}
-
-TEST(WireFuzz, LoadReportBodySurvivesGarbage) {
-  // {ac_id; members; rekey_epoch; ts} — the RS-side reader.
-  fuzz(
-      [](const Bytes& b) {
-        Bytes fields = core::strip_mac(b);
-        WireReader r(fields);
-        (void)r.u64();
-        (void)r.u32();
-        (void)r.u64();
-        (void)r.u64();
-        r.expect_done();
-      },
-      111);
-}
-
-TEST(WireFuzz, MigrateRequestBodySurvivesGarbage) {
-  // {target; count; ts} — AC-side reader after pk_decrypt + strip_mac.
-  fuzz(
-      [](const Bytes& b) {
-        Bytes fields = core::strip_mac(b);
-        WireReader r(fields);
-        (void)r.u64();
-        (void)r.u32();
-        (void)r.u64();
-        r.expect_done();
-      },
-      112);
-}
-
-TEST(WireFuzz, MigrateDirectiveBodySurvivesGarbageAndMutation) {
-  // {from_ac; client; target; ts; bytes(map envelope)} — member-side reader.
-  auto parse = [](const Bytes& b) {
-    Bytes fields = core::strip_mac(b);
-    WireReader r(fields);
-    (void)r.u64();
-    (void)r.u64();
-    (void)r.u64();
-    (void)r.u64();
-    (void)r.bytes();
-    r.expect_done();
-  };
-  fuzz(parse, 113);
-  WireWriter w;
-  w.u64(core::kAcIdBase);
-  w.u64(42);
-  w.u64(core::kAcIdBase + 2);
-  w.u64(999999);
-  w.bytes(to_bytes("embedded-map-envelope"));
-  mutate(parse, core::with_mac(w.data()));
-}
-
-TEST(WireFuzz, JoinShedBodySurvivesGarbage) {
-  // {retry_after_ms} — the member-side reader of the advisory shed reply.
-  fuzz(
-      [](const Bytes& b) {
-        Bytes fields = core::strip_mac(b);
-        WireReader r(fields);
-        (void)r.u64();
-        r.expect_done();
-      },
-      114);
-}
-
 TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
   fuzz([](const Bytes& b) { core::read_checkpoint_header(b); }, 115);
   // A structurally valid prefix (magic + header fields) with trailing
@@ -295,6 +183,26 @@ TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
 TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {
   // Checkpointed member key blocks travel inside the checkpoint blob.
   fuzz([](const Bytes& b) { lkh::MemberKeyState::deserialize(b); }, 116);
+}
+
+template <typename M>
+class WireSchema : public ::testing::Test {};
+TYPED_TEST_SUITE(WireSchema, core::samples::SchemaTypes,
+                 core::samples::MessageName);
+
+TYPED_TEST(WireSchema, SurvivesGarbage) {
+  fuzz([](const Bytes& b) { core::decode<TypeParam>(b); },
+       200 + static_cast<std::uint64_t>(TypeParam::kType));
+}
+
+TYPED_TEST(WireSchema, SurvivesFlipsAndTruncations) {
+  mutate([](const Bytes& b) { core::decode<TypeParam>(b); },
+         core::encode(core::samples::sample<TypeParam>().msg));
+}
+
+TYPED_TEST(WireSchema, RoundTripIsExact) {
+  Bytes bytes = core::encode(core::samples::sample<TypeParam>().msg);
+  EXPECT_EQ(core::encode(core::decode<TypeParam>(bytes)), bytes);
 }
 
 TEST(WireFuzz, RekeyRoundTripIsExact) {
