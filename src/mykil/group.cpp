@@ -41,9 +41,9 @@ void MykilGroup::assign_placement() {
     return;
   }
 
-  std::uint32_t target = options_.target_shards;
-  if (target == 0)
-    target = options_.workers >= 2 ? 2 * options_.workers : 1;
+  // Two shards per worker give the pool load-balancing headroom; one
+  // shard at workers=1 keeps a single heap.
+  std::uint32_t target = options_.workers >= 2 ? 2 * options_.workers : 1;
   target = std::min<std::uint32_t>(
       target, static_cast<std::uint32_t>(net::Network::kMaxShards));
   target =
@@ -57,29 +57,25 @@ void MykilGroup::assign_placement() {
   for (std::size_t i = 0; i < n_areas; ++i)
     if (areas_[i].spare) in.load[1 + i] = 0.5;  // dormant until a split
 
-  if (!options_.placement_affinity.empty()) {
-    in.affinity = options_.placement_affinity;
-  } else {
-    // Static topology affinity, heaviest first: parent/child areas trade
-    // the bulk of the control traffic (child joins, epoch relays); a spare
-    // is the split target of its partner area, so co-locate them before
-    // the split makes them siblings; the RS talks to every area but
-    // hardest to the root (directory pushes fan out from there).
-    std::size_t spare_seq = 0;
-    for (std::size_t i = 0; i < n_areas; ++i) {
-      const Area& a = areas_[i];
-      if (a.parent)
-        in.affinity.push_back({1 + *a.parent, 1 + i, 100.0});
-      if (a.spare) {
-        if (!nonspare_areas_.empty()) {
-          std::size_t partner = nonspare_areas_[spare_seq % nonspare_areas_.size()];
-          in.affinity.push_back({1 + partner, 1 + i, 50.0});
-        }
-        ++spare_seq;
-      } else {
-        bool root = !nonspare_areas_.empty() && nonspare_areas_[0] == i;
-        in.affinity.push_back({0, 1 + i, root ? 50.0 : 10.0});
+  // Static topology affinity, heaviest first: parent/child areas trade the
+  // bulk of the control traffic (child joins, epoch relays); a spare is the
+  // split target of its partner area, so co-locate them before the split
+  // makes them siblings; the RS talks to every area but hardest to the root
+  // (directory pushes fan out from there).
+  std::size_t spare_seq = 0;
+  for (std::size_t i = 0; i < n_areas; ++i) {
+    const Area& a = areas_[i];
+    if (a.parent) in.affinity.push_back({1 + *a.parent, 1 + i, 100.0});
+    if (a.spare) {
+      if (!nonspare_areas_.empty()) {
+        std::size_t partner =
+            nonspare_areas_[spare_seq % nonspare_areas_.size()];
+        in.affinity.push_back({1 + partner, 1 + i, 50.0});
       }
+      ++spare_seq;
+    } else {
+      bool root = !nonspare_areas_.empty() && nonspare_areas_[0] == i;
+      in.affinity.push_back({0, 1 + i, root ? 50.0 : 10.0});
     }
   }
 

@@ -28,28 +28,16 @@ struct GroupOptions {
   bool with_backups = false;
   /// Master seed: everything (keys, nonces, workloads) derives from it.
   std::uint64_t seed = 1;
-  /// Arm the periodic protocol timers (alive/eviction/rekey/heartbeat).
-  /// Disable for protocol-logic tests that drive the network manually.
-  bool enable_timers = true;
-  /// Worker threads for the simulator's parallel engine. The deployment is
-  /// sharded by area either way; 1 keeps execution inline, >= 2 runs shards
-  /// concurrently. The delivery schedule is identical for every value.
+  /// Worker threads for the simulator's engine. 1 drains every window
+  /// inline on the calling thread, >= 2 drains shards concurrently. The
+  /// delivery schedule is identical for every value.
   unsigned workers = 1;
   /// Shard placement policy (DESIGN.md 11.4). kLocality clusters chatty
   /// units — parent/child areas, the RS with the root, split/merge
-  /// siblings — onto the same shard; kRoundRobin is the legacy area-index
-  /// striping. Placement is a pure locality hint: digests are identical
-  /// for both policies and for every target_shards value.
+  /// siblings — onto 2x workers shards, or one shard at workers=1;
+  /// kRoundRobin is the legacy area-index striping. Placement is a pure
+  /// locality hint: digests are identical for both policies.
   ShardPlacement placement = ShardPlacement::kLocality;
-  /// Shard count for locality placement. 0 = auto: 2x workers when the
-  /// parallel engine is on (load balancing headroom), a single shard when
-  /// sequential (no merge work at all).
-  unsigned target_shards = 0;
-  /// Non-empty: measured affinity matrix overriding the static topology
-  /// affinities. Units: 0 = RS, i + 1 = area i (spares included). Feed it
-  /// from a prior run's EngineProfile xshard matrix to chase the observed
-  /// traffic instead of the predicted one.
-  std::vector<PlacementEdge> placement_affinity;
 };
 
 class MykilGroup {

@@ -24,7 +24,7 @@ constexpr std::uint64_t kPurposeDrop = 1;
 /// calls made from inside the callback know (a) which network and shard
 /// they are executing on, (b) which node is running (the origin for
 /// buffered group ops), and (c) whether cross-shard effects must be
-/// buffered (true only on worker threads inside a parallel window).
+/// buffered (true only while the worker pool drains a window).
 struct CallCtx {
   const void* net = nullptr;
   void* shard = nullptr;  ///< Network::Shard*
@@ -62,6 +62,8 @@ Network& Node::network() const {
 }
 
 Network::Network(NetworkConfig config) : config_(config), prf_(config.seed) {
+  if (config_.base_latency == 0)
+    throw SimError("base_latency must be positive: it is the window width");
   origin_.emplace_back();  // index 0: the kNoNode origin
   shards_.push_back(std::make_unique<Shard>());
 }
@@ -174,11 +176,9 @@ void Network::ensure_lookahead() {
   if (!lookahead_dirty_) return;
   lookahead_dirty_ = false;
   // base_latency is the minimum latency of every link, which bounds how
-  // soon an event can affect another shard. A zero base latency degrades
-  // the window to a single timestamp (and parallel dispatch is disabled:
-  // a zero-latency cross-shard send could land inside the open window).
-  lookahead_ = config_.base_latency > 0 ? config_.base_latency : 1;
-  if (config_.base_latency <= 0 || config_.inter_site_latency <= 0) return;
+  // soon an event can affect another shard.
+  lookahead_ = config_.base_latency;
+  if (config_.inter_site_latency == 0) return;
   // Adaptive widening: when no site's nodes straddle two shards, every
   // cross-shard delivery is cross-site and costs at least base_latency +
   // inter_site_latency — so the window may be that wide. The check is a
@@ -543,9 +543,8 @@ Network::TimerId Network::set_timer(NodeId node, SimDuration delay,
   if (node >= nodes_.size()) throw SimError("set_timer: unknown node");
   std::uint32_t sidx = node_shard_[node];
   Shard& sh = *shards_[sidx];
-  if (in_callback() && tls_ctx.buffered &&
-      static_cast<Shard*>(tls_ctx.shard) != &sh)
-    throw SimError("set_timer: cross-shard timer during a parallel window");
+  if (in_callback() && static_cast<Shard*>(tls_ctx.shard) != &sh)
+    throw SimError("set_timer: cross-shard timer from a node callback");
   std::uint32_t slot = acquire_slot(sh);
   std::uint32_t seq = sh.next_timer_seq++ & 0xFFFFFF;
   if (seq == 0) seq = sh.next_timer_seq++ & 0xFFFFFF;  // ids stay nonzero
@@ -567,9 +566,8 @@ void Network::cancel_timer(TimerId id) {
   auto slot = static_cast<std::uint32_t>(id & 0xFFFFFFFF);
   if (sidx >= shards_.size()) return;
   Shard& sh = *shards_[sidx];
-  if (in_callback() && tls_ctx.buffered &&
-      static_cast<Shard*>(tls_ctx.shard) != &sh)
-    throw SimError("cancel_timer: cross-shard cancel during a parallel window");
+  if (in_callback() && static_cast<Shard*>(tls_ctx.shard) != &sh)
+    throw SimError("cancel_timer: cross-shard cancel from a node callback");
   if (slot >= sh.pool.size()) return;
   Event& ev = sh.pool[slot];
   // The slot may have fired (timer_id cleared) or been recycled for a
@@ -770,38 +768,6 @@ std::size_t Network::drain_shard(Shard& sh, SimTime cap, bool buffered) {
   return n;
 }
 
-bool Network::step_one(SimTime deadline) {
-  // Global minimum across shard heaps: with one shard this is the plain
-  // sequential scheduler; with many it is the same total (at, key) order
-  // the parallel engine realizes window by window.
-  Shard* best = nullptr;
-  for (auto& shp : shards_) {
-    if (shp->heap.empty()) continue;
-    if (best == nullptr || ref_before(shp->heap[0], best->heap[0]))
-      best = shp.get();
-  }
-  if (best == nullptr) return false;
-  EventRef top = best->heap[0];
-  if (top.at > deadline) return false;
-  if (win_end_ != 0 && top.at >= win_end_) flush_window();
-  if (win_end_ == 0) {
-    // A window opens at the same virtual times in every execution mode,
-    // so sampling here keeps the metrics series worker-count-invariant.
-    win_end_ = top.at + lookahead();
-    maybe_sample(top.at);
-  }
-  heap_pop_min(*best);
-  now_ = top.at;
-  process_event(*best, top, false);
-  return true;
-}
-
-std::size_t Network::run_sequential(SimTime deadline, std::size_t max_events) {
-  std::size_t n = 0;
-  while (n < max_events && step_one(deadline)) ++n;
-  return n;
-}
-
 void Network::reserve_headroom(Shard& sh) {
   // Events a window creates are mostly intra-shard follow-ups, bounded in
   // practice by a fraction of what is already queued. Grow by at least
@@ -892,7 +858,8 @@ void Network::worker_main(unsigned) {
   }
 }
 
-std::size_t Network::run_parallel(SimTime deadline) {
+std::size_t Network::run_windows(SimTime deadline) {
+  ensure_lookahead();
   std::size_t total = 0;
   const bool prof = profile_;
   std::uint64_t wall0 = prof ? mono_ns() : 0;
@@ -901,90 +868,59 @@ std::size_t Network::run_parallel(SimTime deadline) {
     if (t_min == kNever || t_min > deadline) break;
     if (win_end_ != 0 && t_min >= win_end_) flush_window();
     if (win_end_ == 0) {
+      // A window opens at the same virtual times for every placement and
+      // worker count, so sampling here keeps the metrics series invariant.
       win_end_ = t_min + lookahead();
       maybe_sample(t_min);
     }
     SimTime cap = std::min(deadline, win_end_ - 1);
-    // Shards with work this window. Sparse phases (heartbeat-only tails)
-    // usually light up a single shard: drain it inline and skip the
-    // worker handshake — the result is identical because the window's
-    // outcome never depends on the interleaving.
     active_shards_.clear();
     for (auto& shp : shards_)
       if (!shp->heap.empty() && shp->heap[0].at <= cap)
         active_shards_.push_back(shp.get());
-    if (active_shards_.size() <= 1) {
-      std::size_t n = active_shards_.empty()
-                          ? 0
-                          : drain_shard(*active_shards_[0], cap, false);
-      total += n;
-      if (prof) {
-        ++prof_windows_;
-        ++prof_solo_windows_;
-        prof_events_per_window_.record(n);
-      }
+    std::size_t n = 0;
+    if (threads_.empty() || active_shards_.size() == 1) {
+      // Drained inline, unbuffered: a cross-shard send lands at or after
+      // win_end_ (the lookahead bounds every cross-shard latency), so it
+      // can go straight into its destination heap in any drain order.
+      for (Shard* sh : active_shards_) n += drain_shard(*sh, cap, false);
+      if (prof) ++prof_solo_windows_;
     } else {
-      std::uint64_t e0 = 0;
-      if (prof) {
-        e0 = mono_ns();
-        for (auto& shp : shards_) shp->prof_epoch_busy_ns = 0;
-      }
+      std::uint64_t e0 = prof ? mono_ns() : 0;
       run_epoch(cap);
-      std::size_t n = 0;
       for (Shard* sh : active_shards_) n += sh->processed;
-      total += n;
       merge_outboxes();
       if (prof) {
-        // Stall = the barrier wall time a shard spent NOT draining events
-        // this epoch. Idle shards charge the whole window — that is the
-        // imbalance signal the shard-placement work needs.
+        // Stall = the barrier wall time an active shard spent NOT draining
+        // events this epoch: the imbalance signal placement work needs.
+        // Idle shards took no part in the epoch and charge nothing.
         std::uint64_t ewall = mono_ns() - e0;
-        ++prof_windows_;
-        prof_events_per_window_.record(n);
-        for (auto& shp : shards_) {
-          std::uint64_t busy = shp->prof_epoch_busy_ns;
-          shp->prof_stall_ns += ewall > busy ? ewall - busy : 0;
+        for (Shard* sh : active_shards_) {
+          std::uint64_t busy = sh->prof_epoch_busy_ns;
+          sh->prof_stall_ns += ewall > busy ? ewall - busy : 0;
         }
       }
+    }
+    total += n;
+    if (prof) {
+      ++prof_windows_;
+      prof_events_per_window_.record(n);
     }
   }
   for (auto& shp : shards_)
     if (shp->now > now_) now_ = shp->now;
   if (prof) prof_wall_ns_ += mono_ns() - wall0;
+  if (next_event_time() == kNever) flush_window();
+  merge_stats_deltas();
   return total;
 }
 
-std::size_t Network::run(std::size_t max_events) {
-  ensure_lookahead();
-  std::size_t n;
-  if (max_events == SIZE_MAX && workers_ >= 2 && shards_.size() >= 2 &&
-      config_.base_latency > 0)
-    n = run_parallel(kNever);
-  else
-    n = run_sequential(kNever, max_events);
-  if (next_event_time() == kNever) flush_window();
-  merge_stats_deltas();
-  return n;
-}
+std::size_t Network::run() { return run_windows(kNever); }
 
 std::size_t Network::run_until(SimTime deadline) {
-  ensure_lookahead();
-  std::size_t n;
-  if (workers_ >= 2 && shards_.size() >= 2 && config_.base_latency > 0)
-    n = run_parallel(deadline);
-  else
-    n = run_sequential(deadline, SIZE_MAX);
+  std::size_t n = run_windows(deadline);
   if (now_ < deadline) now_ = deadline;
-  if (next_event_time() == kNever) flush_window();
-  merge_stats_deltas();
   return n;
-}
-
-bool Network::step() {
-  ensure_lookahead();
-  bool advanced = step_one(kNever);
-  if (advanced && next_event_time() == kNever) flush_window();
-  return advanced;
 }
 
 // ---- introspection ----

@@ -27,18 +27,21 @@
 //     (seed, node, purpose) with a per-node counter, so the i-th draw of a
 //     node's stream has the same value no matter how shards interleave.
 //
-// Parallel mode (DESIGN.md 11): nodes are partitioned into shards
-// (Network::set_shard; the Mykil layer assigns one shard per area). Each
+// Windows (DESIGN.md 11): nodes are partitioned into shards
+// (Network::set_shard; the Mykil layer places areas on shards). Each
 // shard owns its own event heap/pool, and time advances in conservative
 // windows of width `lookahead = base_latency` — the minimum latency of any
 // link, hence the soonest an event executed in this window can affect
-// another shard. Within a window shards run independently on a worker
-// pool; cross-shard sends are buffered in per-shard outboxes and merged at
-// the window barrier (the canonical keys make merge order irrelevant).
-// Group membership mutations issued from node callbacks are buffered and
-// applied at window boundaries in canonical (time, origin, seq) order in
-// EVERY mode — including workers=1 — so the membership visible to a
-// multicast is identical whatever the worker count.
+// another shard. One window loop runs at every worker count. With no
+// worker pool (workers=1), or when only one shard has work, the calling
+// thread drains the window's shards inline; otherwise the pool drains them
+// concurrently, buffering cross-shard sends in per-shard outboxes merged
+// at the window barrier (the canonical keys make merge order irrelevant).
+// A one-shard run is the global (at, key) order: the reference every
+// multi-shard run at every worker count must reproduce. Group membership
+// mutations issued from node callbacks are buffered and applied at window
+// boundaries in canonical (time, origin, seq) order, so the membership
+// visible to a multicast is identical whatever the worker count.
 //
 // Scale (DESIGN.md 10): per shard, the event queue is a 4-ary heap of
 // {time, key, slot} handles over a slab-allocated event pool, payloads are
@@ -72,9 +75,10 @@
 //     due time lands after recover() fires normally. Nodes that need
 //     periodic timers across failures must re-arm them in on_recover()
 //     (the Mykil entities do; see also ArqEndpoint::on_recover).
-//   - Timers are shard-local: with workers >= 2, a node callback may only
-//     set or cancel timers on nodes in its own shard (every Mykil timer is
-//     self-targeted, so this never binds in practice).
+//   - Timers are shard-local: at every worker count, a node callback may
+//     only set or cancel timers on nodes in its own shard; anything else
+//     throws SimError (every Mykil timer is self-targeted, so this never
+//     binds in practice).
 //   - Reliability, retransmission, and duplicate suppression are therefore
 //     the job of the layer above: see net/arq.h.
 #pragma once
@@ -101,9 +105,8 @@ namespace mykil::net {
 
 struct NetworkConfig {
   /// Fixed one-way latency added to every delivery. Doubles as the
-  /// parallel engine's lookahead: with base_latency == 0 the engine
-  /// degrades to single-threaded execution (still windowed, still
-  /// deterministic).
+  /// engine's lookahead (the window width), so it must be positive: the
+  /// constructor throws SimError on 0.
   SimDuration base_latency = usec(200);
   /// Additional latency per payload byte (models serialization/bandwidth).
   double per_byte_latency_us = 0.001;  // ~1 GB/s links
@@ -123,7 +126,7 @@ struct NetworkConfig {
   /// a property of the node, never of its shard, so the delivery schedule
   /// is identical for every shard placement and worker count. When every
   /// site is placed whole (no site's nodes straddle two shards), the
-  /// parallel engine widens its conservative window from base_latency to
+  /// engine widens its conservative window from base_latency to
   /// base_latency + inter_site_latency — fewer barriers per simulated
   /// second. 0 (the default) preserves the flat latency model.
   SimDuration inter_site_latency = 0;
@@ -136,7 +139,7 @@ struct ShardProfile {
   std::uint64_t events = 0;          ///< events processed on this shard
   std::uint64_t windows_active = 0;  ///< windows in which the shard had work
   double busy_ms = 0;                ///< wall time spent draining this shard
-  double stall_ms = 0;     ///< barrier wall minus busy, multi-shard epochs
+  double stall_ms = 0;  ///< barrier wall minus busy, pool epochs it was in
   std::uint64_t peak_heap = 0;   ///< max queued events at a drain start
   std::uint64_t pool_slots = 0;  ///< slab high-water (slots ever allocated)
   std::uint64_t xshard_sent = 0;  ///< cross-shard sends originating here
@@ -148,14 +151,14 @@ struct ShardProfile {
   std::uint64_t arena_bytes = 0;
 };
 
-/// Snapshot of the parallel engine's per-shard accounting, collected while
-/// enable_engine_profile(true) is set. Feeds the ROADMAP shard-placement
-/// work: stall_ms exposes window imbalance, the xshard matrix exposes
-/// which shard pairs talk.
+/// Snapshot of the engine's per-shard accounting, collected at every
+/// worker count while enable_engine_profile(true) is set. Feeds the
+/// ROADMAP shard-placement work: stall_ms exposes window imbalance, the
+/// xshard matrix exposes which shard pairs talk.
 struct EngineProfile {
   std::uint64_t windows = 0;       ///< lookahead windows executed
-  std::uint64_t solo_windows = 0;  ///< single-active-shard fast-path windows
-  double wall_ms = 0;              ///< wall time inside the parallel run loop
+  std::uint64_t solo_windows = 0;  ///< windows drained inline by the caller
+  double wall_ms = 0;              ///< wall time inside the window loop
   std::uint64_t merged_events = 0;  ///< cross-shard events merged at barriers
   std::uint64_t lookahead_us = 0;   ///< conservative window width in use
   std::uint64_t arena_bytes = 0;    ///< sum of per-shard arena high-waters
@@ -242,11 +245,11 @@ class Network {
     return lookahead_;
   }
 
-  /// Size the worker pool. 1 (the default) processes events inline on the
-  /// calling thread; n >= 2 spawns n worker threads that execute shards
-  /// concurrently inside each lookahead window. The delivery schedule is
-  /// bit-identical for every value. Must be called from outside the event
-  /// loop.
+  /// Size the worker pool. 1 (the default) drains every window inline on
+  /// the calling thread; n >= 2 spawns n - 1 pool threads that, with the
+  /// calling thread, drain a window's shards concurrently whenever more
+  /// than one has work. The delivery schedule is bit-identical for every
+  /// value. Must be called from outside the event loop.
   void set_workers(unsigned n);
   [[nodiscard]] unsigned workers() const { return workers_; }
 
@@ -283,18 +286,15 @@ class Network {
 
   // ---- running ----
 
-  /// Process events until the queue is empty or `max_events` processed.
-  /// Returns the number of events processed. (A bounded max_events runs
-  /// single-threaded so the cut point is exact; the schedule is identical
-  /// either way.)
-  std::size_t run(std::size_t max_events = SIZE_MAX);
-  /// Process events with time <= deadline.
+  /// Process events until the queue is empty. Returns the number of events
+  /// processed.
+  std::size_t run();
+  /// Process events with time <= deadline, then advance the clock to the
+  /// deadline. Returns the number of events processed.
   std::size_t run_until(SimTime deadline);
-  /// Advance over one event. Returns false if queue empty.
-  bool step();
 
   /// Current virtual time. From inside a node callback this is the time
-  /// of the event being processed (shard-local during parallel windows).
+  /// of the event being processed (shard-local inside a window).
   [[nodiscard]] SimTime now() const;
   [[nodiscard]] bool idle() const { return queued_events() == 0; }
 
@@ -396,7 +396,7 @@ class Network {
     return a.at != b.at ? a.at < b.at : a.key < b.key;
   }
 
-  /// A cross-shard send buffered during a parallel window; merged into the
+  /// A cross-shard send buffered during a pool epoch; merged into the
   /// destination shard's heap at the window barrier.
   struct PendingEvent {
     Event ev;
@@ -513,9 +513,9 @@ class Network {
   void merge_outboxes();
   void merge_stats_deltas();
 
-  bool step_one(SimTime deadline);
-  std::size_t run_sequential(SimTime deadline, std::size_t max_events);
-  std::size_t run_parallel(SimTime deadline);
+  /// The engine: open, drain and close lookahead windows until no event
+  /// at or before `deadline` is left. Returns events processed.
+  std::size_t run_windows(SimTime deadline);
   void run_epoch(SimTime cap);  ///< dispatch one window to the worker pool
   /// Drain active shards claimed from work_cursor_ until none is left.
   void drain_claimed(SimTime cap);
@@ -586,7 +586,7 @@ class Network {
 
   obs::Tracer* tracer_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
-  obs::Histogram* queue_depth_ = nullptr;  ///< cached: hit on every step()
+  obs::Histogram* queue_depth_ = nullptr;  ///< cached: hit on every event
 
   /// Ambient trace context for sends issued from OUTSIDE the event loop
   /// (inside callbacks the context lives in the thread-local CallCtx).

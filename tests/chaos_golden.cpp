@@ -4,9 +4,9 @@
 // behaviour checkable, so a change that does alter behaviour regenerates
 // them with the command that made them:
 //
+//   sim=./build/examples/mykil_sim
 //   for s in $(seq 1 20); do
-//     ./build/examples/mykil_sim --chaos $s --area-split --workers 1 \
-//         --chaos-json BENCH_chaos.json
+//     $sim --chaos $s --area-split --workers 1 --chaos-json BENCH_chaos.json
 //   done
 //
 // Usage: chaos_golden <path to BENCH_chaos.json>

@@ -83,8 +83,9 @@ TEST(SpeckSimd, CtrXorAllLengthsAndOffsets) {
       Bytes simd_out(raw.data() + off, raw.data() + off + len);
 
       ASSERT_EQ(simd_out, scalar_out) << "len=" << len << " off=" << off;
-      if (len % 97 == 0)  // spot-check against the block oracle
+      if (len % 97 == 0) {  // spot-check against the block oracle
         ASSERT_EQ(simd_out, ctr_oracle(cipher, nonce, 0, msg)) << len;
+      }
     }
   }
 }

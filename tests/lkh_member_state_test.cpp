@@ -17,8 +17,8 @@ TEST(MemberKeyState, EmptyStateHasNoGroupKey) {
   MemberKeyState s;
   EXPECT_FALSE(s.has_group_key());
   EXPECT_EQ(s.key_count(), 0u);
-  EXPECT_THROW(s.group_key(), ProtocolError);
-  EXPECT_THROW(s.version_of(0), ProtocolError);
+  EXPECT_THROW((void)s.group_key(), ProtocolError);
+  EXPECT_THROW((void)s.version_of(0), ProtocolError);
 }
 
 TEST(MemberKeyState, InstallAndQuery) {

@@ -4,8 +4,9 @@
 // buffer instead of copying per receiver.
 // The parallel-engine section at the bottom pins the sharded scheduler's
 // core promise: the delivery schedule is bit-identical for every worker
-// count, including under cross-shard ties, mid-window fault injection, and
-// the counter-mode PRF the jitter/drop coins draw from.
+// count and to a one-shard run, including under cross-shard ties,
+// mid-window fault injection, and the counter-mode PRF the jitter/drop
+// coins draw from.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -279,9 +280,10 @@ std::uint64_t fold_digests(const std::deque<HopNode>& nodes) {
   return d;
 }
 
-/// One multi-shard run: 12 nodes on 4 shards, jitter + drop coins live,
+/// One run: 12 nodes on `shards` shards, jitter + drop coins live,
 /// traffic generated from callbacks, main-thread kicks between windows.
-std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers) {
+std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers,
+                                   std::uint32_t shards) {
   NetworkConfig cfg;
   cfg.seed = seed;
   cfg.drop_probability = 0.05;
@@ -291,7 +293,7 @@ std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers) {
   std::deque<HopNode> nodes;
   for (NodeId i = 0; i < 12; ++i) {
     net.attach(nodes.emplace_back((i + 5) % 12));
-    net.set_shard(i, i % 4);
+    net.set_shard(i, i % shards);
   }
   for (int round = 0; round < 6; ++round) {
     for (NodeId i = 0; i < 4; ++i)
@@ -304,18 +306,20 @@ std::uint64_t run_sharded_workload(std::uint64_t seed, unsigned workers) {
 }
 
 TEST(ParallelDeterminism, WorkerCountDoesNotChangeTheDigest) {
-  std::uint64_t sequential = run_sharded_workload(42, 1);
-  EXPECT_EQ(sequential, run_sharded_workload(42, 2));
-  EXPECT_EQ(sequential, run_sharded_workload(42, 8));
+  // One shard drains in the global (at, key) order: the reference.
+  std::uint64_t reference = run_sharded_workload(42, 1, 1);
+  for (unsigned workers : {1u, 2u, 8u})
+    EXPECT_EQ(reference, run_sharded_workload(42, workers, 4))
+        << "workers=" << workers;
   // And the digest is still seed-sensitive in parallel mode.
-  EXPECT_NE(sequential, run_sharded_workload(43, 8));
+  EXPECT_NE(reference, run_sharded_workload(43, 8, 4));
 }
 
 /// Mid-window fault injection: run_until cuts inside a conservative window
 /// (700us deadline, 200us lookahead), then crash/partition/heal/recover are
 /// applied at that exact virtual instant. The schedule downstream of the
 /// faults must still be worker-count independent.
-std::uint64_t run_fault_workload(unsigned workers) {
+std::uint64_t run_fault_workload(unsigned workers, std::uint32_t shards) {
   NetworkConfig cfg;
   cfg.seed = 9;
   Network net(cfg);
@@ -324,7 +328,7 @@ std::uint64_t run_fault_workload(unsigned workers) {
   std::deque<HopNode> nodes;
   for (NodeId i = 0; i < 8; ++i) {
     net.attach(nodes.emplace_back((i + 5) % 8));
-    net.set_shard(i, i % 4);
+    net.set_shard(i, i % shards);
   }
   for (NodeId i = 0; i < 4; ++i) net.unicast(i, i + 4, "kick", Bytes(24, 60));
   net.run_until(net.now() + usec(350));  // stops mid-window
@@ -338,9 +342,10 @@ std::uint64_t run_fault_workload(unsigned workers) {
 }
 
 TEST(ParallelDeterminism, FaultsInjectedMidWindowStayDeterministic) {
-  std::uint64_t sequential = run_fault_workload(1);
-  EXPECT_EQ(sequential, run_fault_workload(2));
-  EXPECT_EQ(sequential, run_fault_workload(8));
+  std::uint64_t reference = run_fault_workload(1, 1);
+  for (unsigned workers : {1u, 2u, 8u})
+    EXPECT_EQ(reference, run_fault_workload(workers, 4))
+        << "workers=" << workers;
 }
 
 /// Two senders on different shards emit equal-time messages at a collector

@@ -165,7 +165,7 @@ TEST(WireFuzz, ArqFrameSurvivesMutationAndTruncation) {
 }
 
 TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
-  fuzz([](const Bytes& b) { core::read_checkpoint_header(b); }, 115);
+  fuzz([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, 115);
   // A structurally valid prefix (magic + header fields) with trailing
   // records; every mutation and truncation must throw, not crash.
   WireWriter w;
@@ -177,7 +177,8 @@ TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
   w.u8(1);     // with_backups
   w.u64(500);  // captured_at
   w.bytes(to_bytes("rs-state"));
-  mutate([](const Bytes& b) { core::read_checkpoint_header(b); }, w.data());
+  mutate([](const Bytes& b) { (void)core::read_checkpoint_header(b); },
+         w.data());
 }
 
 TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {
