@@ -1,16 +1,15 @@
 // Precomputed data-plane sealing context (DESIGN.md 12).
 //
-// sym_seal/sym_open re-derive the "enc"/"mac" subkeys, re-run the Speck key
-// schedule, and re-absorb the HMAC pads on every call. That is fine for
-// control-plane messages (a handful per protocol step) but dominates the
-// cost of a high-rate application data stream sealed under one long-lived
-// group key. DataPlaneKey hoists all of that per-key work into the
-// constructor; seal/open then touch only the message bytes, which is where
-// the SIMD Speck-CTR and SHA-256 kernels earn their keep.
-//
-// The wire format is exactly sym_seal's — nonce(8) || ciphertext ||
-// HMAC-SHA256 tag truncated to 16 bytes, subkeys derive("enc")/derive("mac")
-// — so boxes sealed here open with sym_open and vice versa, byte for byte.
+// This is the one implementation of the sealed box: nonce(8) || Speck128-CTR
+// ciphertext || HMAC-SHA256 tag truncated to 16 bytes, under the subkeys
+// derive("enc")/derive("mac"). sym_seal/sym_open build a DataPlaneKey per
+// call, which re-derives the subkeys, re-runs the Speck key schedule and
+// re-absorbs the HMAC pads every time. That is fine for control-plane
+// messages (a handful per protocol step) but dominates the cost of a
+// high-rate application data stream sealed under one long-lived group key,
+// so the data path keeps one DataPlaneKey per key; seal/open then touch
+// only the message bytes, which is where the SIMD Speck-CTR and SHA-256
+// kernels earn their keep.
 #pragma once
 
 #include <array>
@@ -27,8 +26,7 @@ class DataPlaneKey {
  public:
   explicit DataPlaneKey(const SymmetricKey& key);
 
-  /// Seal `plaintext`; identical bytes to sym_seal(key, plaintext, prng)
-  /// given the same PRNG state (it draws the same 8 nonce bytes).
+  /// Seal `plaintext` under a fresh 8-byte nonce drawn from `prng`.
   [[nodiscard]] Bytes seal(ByteView plaintext, Prng& prng) const;
 
   /// Open a box sealed by seal()/sym_seal; throws AuthError on a bad tag.

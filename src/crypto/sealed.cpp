@@ -3,15 +3,11 @@
 #include <atomic>
 
 #include "common/error.h"
-#include "crypto/hmac.h"
-#include "crypto/speck.h"
+#include "crypto/data_plane.h"
 
 namespace mykil::crypto {
 
 namespace {
-
-constexpr std::size_t kNonceLen = 8;
-constexpr std::size_t kTagLen = 16;
 
 enum class PkMode : std::uint8_t { kDirect = 0, kHybrid = 1 };
 
@@ -23,35 +19,11 @@ std::atomic<std::uint64_t> g_pk_verifies{0};
 }  // namespace
 
 Bytes sym_seal(const SymmetricKey& key, ByteView plaintext, Prng& prng) {
-  SymmetricKey enc_key = key.derive("enc");
-  SymmetricKey mac_key = key.derive("mac");
-
-  Bytes nonce = prng.bytes(kNonceLen);
-  Bytes ct = speck_ctr(enc_key.bytes(), nonce, plaintext);
-
-  Bytes out;
-  out.reserve(kNonceLen + ct.size() + kTagLen);
-  append(out, nonce);
-  append(out, ct);
-  Bytes tag = hmac_sha256_trunc(mac_key.bytes(), out, kTagLen);
-  append(out, tag);
-  return out;
+  return DataPlaneKey(key).seal(plaintext, prng);
 }
 
 Bytes sym_open(const SymmetricKey& key, ByteView sealed) {
-  if (sealed.size() < kNonceLen + kTagLen)
-    throw AuthError("sealed box too short");
-  SymmetricKey enc_key = key.derive("enc");
-  SymmetricKey mac_key = key.derive("mac");
-
-  ByteView body(sealed.data(), sealed.size() - kTagLen);
-  ByteView tag(sealed.data() + sealed.size() - kTagLen, kTagLen);
-  Bytes expected = hmac_sha256_trunc(mac_key.bytes(), body, kTagLen);
-  if (!ct_equal(expected, tag)) throw AuthError("sealed box tag mismatch");
-
-  ByteView nonce(sealed.data(), kNonceLen);
-  ByteView ct(sealed.data() + kNonceLen, sealed.size() - kNonceLen - kTagLen);
-  return speck_ctr(enc_key.bytes(), nonce, ct);
+  return DataPlaneKey(key).open(sealed);
 }
 
 Bytes pk_encrypt(const RsaPublicKey& pub, ByteView msg, Prng& prng) {

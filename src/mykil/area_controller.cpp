@@ -83,7 +83,7 @@ void AreaController::ensure_arq() {
     for (auto& [cid, rec] : members_) {
       if (rec.node == to) rec.last_heard = 0;
     }
-    if (uplink_ && uplink_->parent_node == to) uplink_->last_heard_parent = 0;
+    if (uplink_) uplink_->seat.unreachable(to);
   });
 }
 
@@ -154,7 +154,7 @@ void AreaController::on_recover() {
     // members' — without this a recovered primary mass-evicts its area
     // (and rekeys everyone out) before a pending demotion reaches it.
     for (auto& [cid, rec] : members_) rec.last_heard = now;
-    if (uplink_) uplink_->last_heard_parent = now;
+    if (uplink_) uplink_->seat.heard(now);
     last_area_tx_ = now;
     if (open_) start_primary_timers();
     if (backup_node_ != net::kNoNode && config_.enable_timers)
@@ -166,12 +166,6 @@ void AreaController::on_recover() {
       network().set_timer(id(), config_.heartbeat_interval,
                           timer_token(kTimerBackupWatch));
   }
-}
-
-bool AreaController::ts_fresh(net::SimTime ts) const {
-  net::SimTime now = network().now();
-  net::SimTime skew = now >= ts ? now - ts : ts - now;
-  return skew <= config_.ts_window;
 }
 
 void AreaController::multicast_area(net::Label label, Bytes payload) {
@@ -596,13 +590,9 @@ void AreaController::deny_rejoin(const AwaitingCohortCheck& s) {
 void AreaController::connect_to_parent(AcId parent) {
   const AcInfo* info = directory_.find(parent);
   if (info == nullptr) throw ProtocolError("parent AC not in directory");
-  Uplink up;
-  up.parent_ac = parent;
-  up.parent_node = info->node;
-  up.parent_group = info->group;
-  up.last_heard_parent = network().now();
-  up.last_attempt = network().now();
-  uplink_ = std::move(up);
+  uplink_ = Uplink{
+      .seat = AreaSeat(parent, info->node, info->group, network().now()),
+      .last_attempt = network().now()};
   network().join_group(info->group, id());
 
   send_ctrl(info->node, kLabelArea,
@@ -652,19 +642,17 @@ void AreaController::handle_uplink_join(const net::Message& msg,
 
 void AreaController::handle_uplink_reply(const EnvelopeView& env) {
   if (!uplink_) return;
-  if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
+  AreaSeat& seat = uplink_->seat;
+  if (!directory_.verify(seat.ac_id(), env.box, env.sig)) return;
   auto reply = unwrap<AcUplinkReply>(env, keypair_.priv);
-  if (reply.parent != uplink_->parent_ac || !ts_fresh(reply.ts)) return;
+  if (reply.parent != seat.ac_id() || !ts_fresh(reply.ts)) return;
 
-  uplink_->parent_group = reply.group;
-  uplink_->keys.clear();
-  uplink_->keys.install(reply.path);
-  uplink_->epoch = reply.epoch;
-  uplink_->recovery_pending = false;
+  net::SimTime now = network().now();
+  seat.enter(seat.ac_id(), seat.node(), reply.group, reply.path, reply.epoch,
+             now);
+  seat.sent(now);
   network().join_group(reply.group, id());
   uplink_->ready = true;
-  uplink_->last_heard_parent = network().now();
-  uplink_->last_sent_parent = network().now();
 }
 
 void AreaController::check_parent_liveness() {
@@ -677,8 +665,7 @@ void AreaController::check_parent_liveness() {
       switch_parent();
     return;
   }
-  if (now - uplink_->last_heard_parent <= config_.ac_silence_limit()) return;
-  switch_parent();
+  if (uplink_->seat.silent(now, config_)) switch_parent();
 }
 
 void AreaController::switch_parent() {
@@ -686,9 +673,9 @@ void AreaController::switch_parent() {
   // parent — the "list of one or more preferred area controllers"
   // (Section IV-C). If nobody else is listed, retry the same parent: it
   // may come back (disconnected operation continues meanwhile).
-  AcId dead = uplink_ ? uplink_->parent_ac : kNoAc;
+  AcId dead = parent_ac();
   if (uplink_ && uplink_->ready)
-    network().leave_group(uplink_->parent_group, id());
+    network().leave_group(uplink_->seat.group(), id());
   uplink_.reset();
   for (const AcInfo& e : directory_.entries()) {
     if (e.ac_id == ac_id_ || e.ac_id == dead) continue;
@@ -722,12 +709,10 @@ void AreaController::send_alive_if_idle() {
                                   .epoch = stream_epoch(rekey_epoch_)}}));
   }
   // As a member of the parent area, we owe the parent OUR alive messages.
-  if (uplink_ && uplink_->ready &&
-      now - uplink_->last_sent_parent >= config_.t_active) {
-    network().unicast(id(), uplink_->parent_node, kLabelAlive,
-                      wrap(Alive{.from = AliveMember{.client_id = ac_id_}}));
-    uplink_->last_sent_parent = now;
-  }
+  if (uplink_ && uplink_->ready)
+    if (auto alive = uplink_->seat.alive_due(ac_id_, now, config_))
+      network().unicast(id(), uplink_->seat.node(), kLabelAlive,
+                        std::move(*alive));
 }
 
 void AreaController::scan_members() {
@@ -771,12 +756,10 @@ void AreaController::handle_alive(const net::Message& msg,
       it->second.last_heard = network().now();
     return;
   }
-  // Parent-area beacon (liveness is already booked in on_message): compare
-  // the advertised rekey epoch with our uplink position — it is the only
-  // signal that reveals a lost rekey when the parent then goes quiet.
-  const auto& beacon = std::get<AliveBeacon>(alive.from);
-  if (uplink_ && uplink_->ready && beacon.ac_id == uplink_->parent_ac &&
-      beacon.epoch > uplink_->epoch && !uplink_->recovery_pending)
+  // Parent-area beacon (liveness is booked in on_message). Unlike a member,
+  // ask only while no recovery is pending; the idle timer retries that one.
+  if (uplink_ && uplink_->ready && !uplink_->seat.recovery_pending() &&
+      uplink_->seat.beacon_gap(alive))
     request_uplink_recovery("beacon-gap");
 }
 
@@ -806,15 +789,15 @@ void AreaController::handle_data(const net::Message& msg,
 
   bool from_own = msg.group == area_group_;
   bool from_parent = uplink_ && uplink_->ready &&
-                     msg.group == uplink_->parent_group;
+                     msg.group == uplink_->seat.group();
   if (!from_own && !from_parent) return;
 
   std::optional<Bytes> dk_raw;
   if (from_own) {
     dk_raw = open_fallback(tree_->root_key(), prev_area_key_, key_box);
   } else {
-    dk_raw = open_fallback(uplink_->keys.group_key(),
-                           uplink_->keys.previous_group_key(), key_box);
+    dk_raw = open_fallback(uplink_->seat.keys().group_key(),
+                           uplink_->seat.keys().previous_group_key(), key_box);
   }
   if (!dk_raw) {
     // In our own area the usual cause is the sender racing a rotation —
@@ -832,68 +815,14 @@ void AreaController::handle_data(const net::Message& msg,
   };
 
   if (from_own && uplink_ && uplink_->ready) {
-    network().multicast(id(), uplink_->parent_group, kLabelData,
-                        build(uplink_->keys.group_key()));
-    uplink_->last_sent_parent = network().now();
+    network().multicast(id(), uplink_->seat.group(), kLabelData,
+                        build(uplink_->seat.keys().group_key()));
+    uplink_->seat.sent(network().now());
     ++counters_.data_forwards;
   }
   if (from_parent) {
     multicast_area(kLabelData, build(tree_->root_key()));
     ++counters_.data_forwards;
-  }
-}
-
-void AreaController::handle_rekey_from_parent(const net::Message& msg,
-                                              const EnvelopeView& env) {
-  if (!uplink_ || !uplink_->ready || msg.group != uplink_->parent_group) return;
-  if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
-  lkh::RekeyMessage rk = unwrap<Rekey>(env).rekey.value;
-
-  if (!config_.reliable_control) {
-    uplink_->keys.apply(rk);
-    if (rk.epoch > uplink_->epoch) uplink_->epoch = rk.epoch;
-    return;
-  }
-
-  // Same gap-detection logic as Member::handle_rekey — in the parent's
-  // area, this AC is just another member.
-  if (rk.epoch <= uplink_->epoch) return;
-  if (rk.epoch > uplink_->epoch + 1) {
-    request_uplink_recovery("rekey-gap");
-    return;
-  }
-  try {
-    uplink_->keys.apply(rk);
-    uplink_->epoch = rk.epoch;
-  } catch (const AuthError&) {
-    request_uplink_recovery("stale-key");
-  }
-}
-
-void AreaController::handle_split_update(const net::Message& msg,
-                                         const EnvelopeView& env) {
-  if (!uplink_) return;
-  // Sealed to us but neither signed nor fresh: only the source address ties
-  // the key path to our parent AC (either of its listed nodes).
-  const AcInfo* parent = directory_.find(uplink_->parent_ac);
-  if (parent == nullptr ||
-      (msg.from != parent->node && msg.from != parent->backup_node))
-    return;
-  uplink_->keys.install(unwrap<SplitUpdate>(env, keypair_.priv).path.value);
-}
-
-void AreaController::handle_takeover(const EnvelopeView& env) {
-  auto [who, new_node, ts] = unwrap<TakeOver>(env);
-  if (!ts_fresh(ts)) return;
-  if (!directory_.verify(who, env.box, env.sig)) return;
-  // Swap only when the directory does not already list the announced node
-  // (promote_backup swaps roles; a repeated announcement must not undo it).
-  if (const AcInfo* info = directory_.find(who);
-      info != nullptr && info->node != new_node)
-    directory_.promote_backup(who);
-  if (uplink_ && uplink_->parent_ac == who) {
-    uplink_->parent_node = new_node;
-    uplink_->last_heard_parent = network().now();
   }
 }
 
@@ -923,26 +852,18 @@ void AreaController::redirect_to_primary(const net::Message& msg) {
 // --------------------------------------------------------- key recovery
 
 void AreaController::request_uplink_recovery(const char* trigger) {
-  if (!config_.reliable_control || !uplink_ || !uplink_->ready) return;
+  if (!uplink_ || !uplink_->ready) return;
+  AreaSeat& seat = uplink_->seat;
   net::SimTime now = network().now();
-  if (uplink_->recovery_pending &&
-      now - uplink_->last_recovery_request < config_.key_recovery_interval)
-    return;
-  uplink_->recovery_pending = true;
-  uplink_->last_recovery_request = now;
-  uplink_->recovery_nonce = prng_.next_u64();
+  // In the parent's tree we are the member `ac_id_`.
+  auto request = seat.request_recovery(ac_id_, now, config_, prng_);
+  if (!request) return;
   if (auto* t = network().tracer())
-    t->instant(obs::EventKind::kKeyRecovery, id(), now, ac_id_, uplink_->epoch,
+    t->instant(obs::EventKind::kKeyRecovery, id(), now, ac_id_, seat.epoch(),
                trigger);
   if (auto* m = network().metrics())
     m->counter("ac.uplink_recovery_requests").inc();
-
-  // In the parent's tree we are the member `ac_id_`.
-  send_ctrl(uplink_->parent_node, kLabelRecovery,
-            wrap(KeyRecoveryRequest{.client_id = ac_id_,
-                                    .ac_id = uplink_->parent_ac,
-                                    .epoch = uplink_->epoch,
-                                    .nonce = uplink_->recovery_nonce}));
+  send_ctrl(seat.node(), kLabelRecovery, std::move(*request));
 }
 
 void AreaController::handle_key_recovery_request(const net::Message& msg,
@@ -980,31 +901,6 @@ void AreaController::handle_key_recovery_request(const net::Message& msg,
                                   .path = tree_->path_keys(client)},
                  crypto::RsaPublicKey::deserialize(rec.pubkey), prng_,
                  keypair_.priv));
-}
-
-void AreaController::handle_key_recovery_reply(const EnvelopeView& env) {
-  if (!uplink_ || !uplink_->ready) return;
-  if (!directory_.verify(uplink_->parent_ac, env.box, env.sig)) return;
-  auto reply = unwrap<KeyRecoveryReply>(env, keypair_.priv);
-  if (reply.ac_id != uplink_->parent_ac) return;
-  if (!uplink_->recovery_pending ||
-      reply.nonce_plus1 != uplink_->recovery_nonce + 1)
-    return;
-
-  if (reply.epoch < uplink_->epoch) {
-    // Reply predates a rekey we already applied — version-guarded partial
-    // install only; the idle-timer retry asks again for a current one.
-    uplink_->keys.install(reply.path);
-    return;
-  }
-  // Authoritative: versions regress across parent takeovers, so the guard
-  // in install() could discard the new parent-primary's keys (see
-  // MemberKeyState::reinstall).
-  uplink_->keys.reinstall(reply.path);
-  uplink_->epoch = reply.epoch;
-  uplink_->recovery_pending = false;
-  if (auto* m = network().metrics())
-    m->counter("ac.uplink_recoveries").inc();
 }
 
 // -------------------------------------- online area management (DESIGN 14)
@@ -1068,9 +964,9 @@ void AreaController::apply_map_transition(bool was_active) {
     migrate_quota_ = 0;
     if (uplink_) {
       if (uplink_->ready) {
-        network().unicast(id(), uplink_->parent_node, kLabelArea,
+        network().unicast(id(), uplink_->seat.node(), kLabelArea,
                           wrap(LeaveRequest{.client_id = ac_id_}));
-        network().leave_group(uplink_->parent_group, id());
+        network().leave_group(uplink_->seat.group(), id());
       }
       uplink_.reset();
       sync_backup();
@@ -1135,7 +1031,7 @@ void AreaController::issue_migrate_directives() {
 Bytes AreaController::make_snapshot() const {
   WireWriter w;
   w.u32(area_group_);
-  w.u64(uplink_ ? uplink_->parent_ac : kNoAc);
+  w.u64(parent_ac());
   w.u64(rekey_epoch_);
   w.bytes(tree_->serialize());
   w.u32(static_cast<std::uint32_t>(members_.size()));
@@ -1183,12 +1079,10 @@ void AreaController::load_snapshot(ByteView snapshot) {
   }
   r.expect_done();
   if (parent != kNoAc) {
-    Uplink up;
-    up.parent_ac = parent;
     const AcInfo* info = directory_.find(parent);
-    up.parent_node = info != nullptr ? info->node : net::kNoNode;
-    up.last_heard_parent = now;
-    uplink_ = std::move(up);
+    uplink_ = Uplink{.seat = AreaSeat(
+                         parent, info != nullptr ? info->node : net::kNoNode,
+                         0, now)};
   } else {
     uplink_.reset();
   }
@@ -1309,7 +1203,7 @@ void AreaController::promote_to_primary() {
   // Re-link to the parent: the uplink's key state was intentionally not
   // replicated ("only a minimal state information is replicated").
   if (uplink_) {
-    AcId parent = uplink_->parent_ac;
+    AcId parent = parent_ac();
     uplink_.reset();
     if (directory_.find(parent) != nullptr) connect_to_parent(parent);
   }
@@ -1333,7 +1227,7 @@ void AreaController::demote_to_backup(net::NodeId new_primary) {
   pending_join_rotation_ = false;
   takeover_trace_ = {};  // the winner owns the heal now
   if (uplink_) {
-    if (uplink_->ready) network().leave_group(uplink_->parent_group, id());
+    if (uplink_->ready) network().leave_group(uplink_->seat.group(), id());
     uplink_.reset();
   }
   // Start over as a standby: the winner's next StateSync is our baseline.
@@ -1454,7 +1348,7 @@ void AreaController::restore_state(ByteView blob) {
       network().join_group(area_group_, id());
       // Re-link the parent fresh: uplink keys are deliberately outside the
       // snapshot ("only a minimal state information is replicated").
-      AcId parent = uplink_ ? uplink_->parent_ac : kNoAc;
+      AcId parent = parent_ac();
       uplink_.reset();
       if (parent != kNoAc && directory_.find(parent) != nullptr)
         connect_to_parent(parent);
@@ -1520,9 +1414,7 @@ void AreaController::on_timer(std::uint64_t token) {
       send_alive_if_idle();
       check_parent_liveness();
       // A lost recovery answer must not leave the uplink stuck.
-      if (uplink_ && uplink_->ready && uplink_->recovery_pending &&
-          network().now() - uplink_->last_recovery_request >=
-              config_.key_recovery_interval)
+      if (uplink_ && uplink_->seat.recovery_pending())
         request_uplink_recovery("retry");
       network().set_timer(id(), config_.t_idle, timer_token(kTimerIdle));
       return;
@@ -1605,9 +1497,9 @@ void AreaController::on_timer(std::uint64_t token) {
 void AreaController::on_message(const net::Message& raw) {
   // Generic parent-liveness bookkeeping: anything the parent AC multicasts
   // into its area (alive, rekey, forwarded data) proves it is up.
-  if (uplink_ && uplink_->ready && raw.group == uplink_->parent_group &&
-      raw.from == uplink_->parent_node) {
-    uplink_->last_heard_parent = network().now();
+  if (uplink_ && uplink_->ready && raw.group == uplink_->seat.group() &&
+      raw.from == uplink_->seat.node()) {
+    uplink_->seat.heard(network().now());
   }
 
   ensure_arq();
@@ -1658,12 +1550,30 @@ void AreaController::on_message(const net::Message& raw) {
       case MsgType::kAlive: return handle_alive(msg, env);
       case MsgType::kData: return handle_data(msg, env);
       case MsgType::kLeaveRequest: return handle_leave_request(msg, env);
-      case MsgType::kRekey: return handle_rekey_from_parent(msg, env);
-      case MsgType::kSplitUpdate: return handle_split_update(msg, env);
-      case MsgType::kTakeOver: return handle_takeover(env);
+      case MsgType::kRekey:  // in the parent's area we are a member
+        if (uplink_ && uplink_->ready) {
+          auto r = uplink_->seat.apply_rekey(directory_, msg, env, config_);
+          if (r.recover != nullptr) request_uplink_recovery(r.recover);
+        }
+        return;
+      case MsgType::kSplitUpdate:
+        if (uplink_)
+          uplink_->seat.install_key_path(directory_, msg.from, env,
+                                         keypair_.priv);
+        return;
+      case MsgType::kTakeOver:
+        return AreaSeat::follow_takeover(
+            directory_, uplink_ ? &uplink_->seat : nullptr, env,
+            network().now(), config_);
       case MsgType::kKeyRecoveryRequest:
         return handle_key_recovery_request(msg, env);
-      case MsgType::kKeyRecoveryReply: return handle_key_recovery_reply(env);
+      case MsgType::kKeyRecoveryReply:
+        if (uplink_ && uplink_->ready &&
+            uplink_->seat.accept_recovery_reply(directory_, env,
+                                                keypair_.priv))
+          if (auto* m = network().metrics())
+            m->counter("ac.uplink_recoveries").inc();
+        return;
       case MsgType::kStateSyncRequest: return handle_state_sync_request(msg);
       case MsgType::kAreaMapUpdate: return handle_area_map_update(msg, env);
       case MsgType::kMigrateRequest: return handle_migrate_request(env);

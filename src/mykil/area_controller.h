@@ -15,6 +15,10 @@
 //   - primary-backup replication with heartbeats and takeover
 //     (Section IV-C): construct a second instance with Role::kBackup and
 //     point the primary at it via set_backup().
+//
+// A non-root AC is a member of its parent's area (Section III-A): its
+// uplink is an AreaSeat, as a Member's membership is. The AC adds its own
+// metrics, the parent switch, and its beacon guard.
 #pragma once
 
 #include <cstdint>
@@ -26,9 +30,9 @@
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
 #include "lkh/key_tree.h"
-#include "lkh/member_state.h"
-#include "mykil/config.h"
 #include "lkh/rekey.h"
+#include "mykil/area_seat.h"
+#include "mykil/config.h"
 #include "mykil/directory.h"
 #include "mykil/messages.h"
 #include "mykil/ticket.h"
@@ -104,7 +108,7 @@ class AreaController : public net::Node {
     return uplink_ && uplink_->ready;
   }
   [[nodiscard]] AcId parent_ac() const {
-    return uplink_ ? uplink_->parent_ac : kNoAc;
+    return uplink_ ? uplink_->seat.ac_id() : kNoAc;
   }
   [[nodiscard]] const crypto::RsaPublicKey& public_key() const {
     return keypair_.pub;
@@ -176,19 +180,9 @@ class AreaController : public net::Node {
     net::TraceContext trace;
   };
   struct Uplink {
-    AcId parent_ac = kNoAc;
-    net::NodeId parent_node = net::kNoNode;
-    bool ready = false;
-    net::GroupId parent_group = 0;
-    lkh::MemberKeyState keys;
-    net::SimTime last_heard_parent = 0;
-    net::SimTime last_sent_parent = 0;
+    AreaSeat seat;  ///< our seat in the parent's area
+    bool ready = false;  ///< the parent answered our uplink join
     net::SimTime last_attempt = 0;  ///< when the join request went out
-    // Rekey-stream position in the PARENT's area (we are a member there).
-    std::uint64_t epoch = 0;
-    bool recovery_pending = false;
-    std::uint64_t recovery_nonce = 0;
-    net::SimTime last_recovery_request = 0;
   };
 
   // Message handlers; each reads the envelope on_message parsed, a view
@@ -207,20 +201,14 @@ class AreaController : public net::Node {
   void handle_alive(const net::Message& msg, const EnvelopeView& env);
   void handle_data(const net::Message& msg, const EnvelopeView& env);
   void handle_leave_request(const net::Message& msg, const EnvelopeView& env);
-  void handle_rekey_from_parent(const net::Message& msg,
-                                const EnvelopeView& env);
-  /// Key paths are accepted only from the parent AC's listed nodes.
-  void handle_split_update(const net::Message& msg, const EnvelopeView& env);
   void handle_state_sync(const net::Message& msg, const EnvelopeView& env);
   void handle_state_sync_request(const net::Message& msg);
   void handle_heartbeat(const net::Message& msg, const EnvelopeView& env);
-  void handle_takeover(const EnvelopeView& env);
   /// Demoted-primary courtesy: re-announce the takeover, unicast, to a
   /// member that still addresses us (it missed the original multicast).
   void redirect_to_primary(const net::Message& msg);
   void handle_key_recovery_request(const net::Message& msg,
                                    const EnvelopeView& env);
-  void handle_key_recovery_reply(const EnvelopeView& env);
   void handle_area_map_update(const net::Message& msg, const EnvelopeView& env);
   void handle_migrate_request(const EnvelopeView& env);
 
@@ -276,7 +264,9 @@ class AreaController : public net::Node {
   [[nodiscard]] Bytes issue_ticket(ClientId client, ByteView pubkey,
                                    net::SimTime join_time,
                                    net::SimTime valid_until);
-  [[nodiscard]] bool ts_fresh(net::SimTime ts) const;
+  [[nodiscard]] bool ts_fresh(net::SimTime ts) const {
+    return config_.ts_fresh(ts, network().now());
+  }
 
   AcId ac_id_;
   MykilConfig config_;

@@ -133,6 +133,10 @@ struct MykilConfig {
   [[nodiscard]] net::SimDuration ac_silence_limit() const {
     return disconnect_multiplier * t_idle;
   }
+  /// A message stamped `ts` is within ts_window of `now` (replay check).
+  [[nodiscard]] bool ts_fresh(net::SimTime ts, net::SimTime now) const {
+    return (now >= ts ? now - ts : ts - now) <= ts_window;
+  }
 };
 
 }  // namespace mykil::core

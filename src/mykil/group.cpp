@@ -25,7 +25,7 @@ std::uint32_t MykilGroup::area_shard(std::size_t area_index) const {
   // Placement is a locality hint: protocol traffic is correct — and the
   // digest identical — whatever the assignment.
   if (area_index < area_shards_.size()) return area_shards_[area_index];
-  // Pre-finalize fallback (members created before finalize): the legacy
+  // Pre-finalize fallback (members created before finalize): area-index
   // striping, wrapping only past the simulator's 255-shard ceiling.
   return 1 + static_cast<std::uint32_t>(
                  area_index % (net::Network::kMaxShards - 1));
@@ -34,12 +34,6 @@ std::uint32_t MykilGroup::area_shard(std::size_t area_index) const {
 void MykilGroup::assign_placement() {
   const std::size_t n_areas = areas_.size();
   area_shards_.assign(n_areas, 0);
-  if (options_.placement == ShardPlacement::kRoundRobin) {
-    for (std::size_t i = 0; i < n_areas; ++i)
-      area_shards_[i] = 1 + static_cast<std::uint32_t>(
-                                i % (net::Network::kMaxShards - 1));
-    return;
-  }
 
   // Two shards per worker give the pool load-balancing headroom; one
   // shard at workers=1 keeps a single heap.

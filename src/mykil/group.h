@@ -30,14 +30,10 @@ struct GroupOptions {
   std::uint64_t seed = 1;
   /// Worker threads for the simulator's engine. 1 drains every window
   /// inline on the calling thread, >= 2 drains shards concurrently. The
-  /// delivery schedule is identical for every value.
+  /// delivery schedule is identical for every value. finalize() packs
+  /// chatty areas together onto 2x workers shards, or one at workers=1
+  /// (locality placement, DESIGN.md 11.4).
   unsigned workers = 1;
-  /// Shard placement policy (DESIGN.md 11.4). kLocality clusters chatty
-  /// units — parent/child areas, the RS with the root, split/merge
-  /// siblings — onto 2x workers shards, or one shard at workers=1;
-  /// kRoundRobin is the legacy area-index striping. Placement is a pure
-  /// locality hint: digests are identical for both policies.
-  ShardPlacement placement = ShardPlacement::kLocality;
 };
 
 class MykilGroup {
@@ -97,9 +93,9 @@ class MykilGroup {
   };
 
   /// Shard for an area / the next member (RS in 0). After finalize() this
-  /// reads the computed placement; before it, the legacy round-robin.
+  /// reads the computed placement; before it, area-index striping.
   [[nodiscard]] std::uint32_t area_shard(std::size_t area_index) const;
-  /// Fill area_shards_ from options_.placement (runs once, in finalize).
+  /// Fill area_shards_ by locality placement (runs once, in finalize).
   void assign_placement();
   std::size_t add_area_impl(std::optional<std::size_t> parent, bool spare);
 

@@ -35,7 +35,7 @@ void Member::ensure_arq() {
     // Escalate to the existing failure-detection path: zeroing the AC
     // silence clock makes the watchdog treat the AC as unreachable and
     // trigger a mobility rejoin on its next tick.
-    if (joined_ && to == ac_node_) last_heard_ac_ = 0;
+    if (joined_) seat_.unreachable(to);
   });
 }
 
@@ -67,8 +67,8 @@ void Member::on_crash() {
 }
 
 void Member::on_recover() {
-  last_heard_ac_ = network().now();  // grace period before the watchdog
-  recovery_pending_ = false;
+  seat_.heard(network().now());  // grace period before the watchdog
+  seat_.cancel_recovery();
   if (arq_.bound()) arq_.on_recover();
   start_timers();
 }
@@ -118,8 +118,7 @@ void Member::handle_join_step5(const EnvelopeView& env) {
   if (!verify_envelope(env, rs_pub_)) throw AuthError("step-5 signature bad");
   auto step = unwrap<JoinStep5>(env, keypair_.priv);
   directory_ = std::move(step.directory);
-  ac_id_ = step.ac_id;
-  ac_node_ = step.ac_node;
+  seat_.aim(step.ac_id, step.ac_node);
 
   nonce_ca_ = prng_.next_u64();
   const AcInfo* info = directory_.find(step.ac_id);
@@ -132,7 +131,7 @@ void Member::handle_join_step5(const EnvelopeView& env) {
             wrap(JoinStep6{.nonce_ac_plus2 = step.nonce_ac_plus1 + 1,
                            .nonce_ca = nonce_ca_},
                  pub, prng_));
-  last_sent_ac_ = network().now();
+  seat_.sent(network().now());
 }
 
 void Member::handle_join_step7(const net::Message& msg,
@@ -142,18 +141,12 @@ void Member::handle_join_step7(const net::Message& msg,
     throw AuthError("area controller failed the nonce challenge");
 
   sealed_ticket_ = std::move(step.ticket);
-  ac_id_ = step.ac_id;
-  ac_node_ = msg.from;
-  area_group_ = step.group;
-  keys_.clear();
-  keys_.install(step.path);
-  area_epoch_ = step.epoch;
-  recovery_pending_ = false;
+  seat_.enter(step.ac_id, msg.from, step.group, step.path, step.epoch,
+              network().now());
   discard_held();
   network().join_group(step.group, id());
   joined_ = true;
   join_in_progress_ = false;
-  last_heard_ac_ = network().now();
   join_latency_ = network().now() - join_started_;
   if (auto* t = network().tracer()) {
     t->span_end(obs::EventKind::kJoin, nic_id_, id(), network().now());
@@ -215,21 +208,15 @@ void Member::handle_rejoin_step6(const net::Message& msg,
   if (!directory_.verify(rejoin_target_, env.box, env.sig)) return;
   auto step = unwrap<RejoinStep6>(env, keypair_.priv);
 
-  if (joined_ && area_group_ != step.group)
-    network().leave_group(area_group_, id());
+  if (joined_ && seat_.group() != step.group)
+    network().leave_group(seat_.group(), id());
   sealed_ticket_ = std::move(step.ticket);
-  ac_id_ = step.ac_id;
-  ac_node_ = msg.from;
-  area_group_ = step.group;
-  keys_.clear();
-  keys_.install(step.path);
-  area_epoch_ = step.epoch;
-  recovery_pending_ = false;
+  seat_.enter(step.ac_id, msg.from, step.group, step.path, step.epoch,
+              network().now());
   discard_held();
   network().join_group(step.group, id());
   joined_ = true;
   rejoin_in_progress_ = false;
-  last_heard_ac_ = network().now();
   rejoin_latency_ = network().now() - rejoin_started_;
   if (auto* t = network().tracer()) {
     auto span =
@@ -250,9 +237,10 @@ void Member::handle_rejoin_step6(const net::Message& msg,
 
 void Member::leave() {
   if (!joined_) return;
-  send_ctrl(ac_node_, kLabelJoin, wrap(LeaveRequest{.client_id = nic_id_}));
-  network().leave_group(area_group_, id());
-  keys_.clear();
+  send_ctrl(seat_.node(), kLabelJoin,
+            wrap(LeaveRequest{.client_id = nic_id_}));
+  network().leave_group(seat_.group(), id());
+  seat_.clear_keys();
   discard_held();
   joined_ = false;
 }
@@ -279,47 +267,23 @@ void Member::send_data(ByteView payload) {
   std::uint64_t msg_id = prng_.next_u64();
   seen_data_.insert(msg_id);
   Bytes key_box =
-      data_plane_for(keys_.group_key()).seal(data_key.bytes(), prng_);
+      data_plane_for(seat_.keys().group_key()).seal(data_key.bytes(), prng_);
   Bytes payload_box = crypto::sym_seal(data_key, payload, prng_);
-  network().multicast(id(), area_group_, kLabelData,
+  network().multicast(id(), seat_.group(), kLabelData,
                       wrap(Data{.msg_id = msg_id, .sender = nic_id_,
                                 .key_box = key_box,
                                 .payload_box = payload_box}));
-  last_sent_ac_ = network().now();  // the AC hears area traffic
+  seat_.sent(network().now());  // the AC hears area traffic
 }
 
 void Member::handle_rekey(const net::Message& msg, const EnvelopeView& env) {
-  if (!joined_ || msg.group != area_group_) return;
-  // Key update messages are signed by the area controller (Section III-E).
-  if (!directory_.verify(ac_id_, env.box, env.sig)) return;
-  lkh::RekeyMessage rk = unwrap<Rekey>(env).rekey.value;
-
-  // Fire-and-forget mode applies every rekey blindly and never recovers:
-  // a stale held key leaves the member silently desynchronized (the
-  // pre-recovery behavior).
-  if (config_.reliable_control) {
-    if (rk.epoch <= area_epoch_) return;  // duplicate or already caught up
-    if (rk.epoch > area_epoch_ + 1) {
-      // One or more rekey multicasts were lost; the skipped ones may have
-      // rotated keys on our own path, so entries in this message can be
-      // unreadable. Ask the AC for a sealed current-path catch-up.
-      request_key_recovery("rekey-gap");
-      return;
-    }
-  }
-  try {
-    std::size_t applied = keys_.apply(rk);
-    if (applied > 0) {
-      ++rekeys_applied_;
-      rekey_entries_applied_ += applied;
-    }
-    area_epoch_ = std::max(area_epoch_, rk.epoch);
-  } catch (const AuthError&) {
-    // A held key no longer matches what the AC encrypted under — we missed
-    // an update that the epoch stream did not expose (e.g. state installed
-    // via a racy path). Recover rather than desynchronize.
-    request_key_recovery("stale-key");
-    return;
+  if (!joined_) return;
+  AreaSeat::Rekeyed rekeyed = seat_.apply_rekey(directory_, msg, env, config_);
+  if (rekeyed.recover != nullptr) return request_key_recovery(rekeyed.recover);
+  if (!rekeyed.applied) return;
+  if (rekeyed.entries > 0) {
+    ++rekeys_applied_;
+    rekey_entries_applied_ += rekeyed.entries;
   }
   // Data that overtook this rekey opens now. A held packet that still does
   // not means we are more than one rotation behind (or its sender is).
@@ -327,19 +291,8 @@ void Member::handle_rekey(const net::Message& msg, const EnvelopeView& env) {
   if (!held_data_.empty()) request_key_recovery("undecryptable-data");
 }
 
-void Member::handle_split_update(const net::Message& msg,
-                                 const EnvelopeView& env) {
-  // The message is sealed to us but neither signed nor fresh: only the
-  // source address ties it to our AC (either of its listed nodes).
-  const AcInfo* info = directory_.find(ac_id_);
-  if (info == nullptr ||
-      (msg.from != info->node && msg.from != info->backup_node))
-    return;
-  keys_.install(unwrap<SplitUpdate>(env, keypair_.priv).path.value);
-}
-
 void Member::handle_data(const net::Message& msg, const EnvelopeView& env) {
-  if (!joined_ || msg.group != area_group_) return;
+  if (!joined_ || msg.group != seat_.group()) return;
   auto data = unwrap<Data>(env);
   if (!seen_data_.insert(data.msg_id)) return;
 
@@ -371,8 +324,8 @@ std::optional<Bytes> Member::try_open(ByteView key_box,
       return std::nullopt;
     }
   };
-  if (auto plain = open_with(keys_.group_key())) return plain;
-  if (const auto& previous = keys_.previous_group_key())
+  if (auto plain = open_with(seat_.keys().group_key())) return plain;
+  if (const auto& previous = seat_.keys().previous_group_key())
     return open_with(*previous);
   return std::nullopt;
 }
@@ -398,79 +351,28 @@ void Member::discard_held() {
   held_data_.clear();
 }
 
-void Member::handle_takeover(const EnvelopeView& env) {
-  // The ts goes unchecked here: the watchdog covers staleness.
-  auto takeover = unwrap<TakeOver>(env);
-  if (!directory_.verify(takeover.ac_id, env.box, env.sig)) return;
-  // promote_backup swaps primary and backup; only swap when the directory
-  // does not already list the announced node (a repeated announcement must
-  // not flip the roles back).
-  if (const AcInfo* info = directory_.find(takeover.ac_id);
-      info != nullptr && info->node != takeover.node)
-    directory_.promote_backup(takeover.ac_id);
-  if (takeover.ac_id == ac_id_) {
-    ac_node_ = takeover.node;
-    last_heard_ac_ = network().now();
-  }
-}
-
 void Member::handle_ac_beacon(const EnvelopeView& env) {
-  // The AC's idle-area beacon advertises its rekey epoch. It is the only
-  // gap signal available when we lost the FINAL rekey of a burst: no later
-  // rekey will arrive to reveal the hole, but the beacon does.
-  auto alive = unwrap<Alive>(env);
-  const auto* beacon = std::get_if<AliveBeacon>(&alive.from);
-  if (beacon == nullptr || !joined_ || beacon->ac_id != ac_id_) return;
-  if (beacon->epoch > area_epoch_) request_key_recovery("beacon-gap");
+  if (joined_ && seat_.beacon_gap(unwrap<Alive>(env)))
+    request_key_recovery("beacon-gap");
 }
 
 void Member::request_key_recovery(const char* trigger) {
-  if (!config_.reliable_control || !joined_) return;
+  if (!joined_) return;
   net::SimTime now = network().now();
-  if (recovery_pending_ &&
-      now - last_recovery_request_ < config_.key_recovery_interval)
-    return;
-  if (!recovery_pending_) recovery_started_ = now;
-  recovery_pending_ = true;
-  last_recovery_request_ = now;
-  recovery_nonce_ = prng_.next_u64();
+  auto request = seat_.request_recovery(nic_id_, now, config_, prng_);
+  if (!request) return;
   if (auto* t = network().tracer())
-    t->instant(obs::EventKind::kKeyRecovery, id(), now, nic_id_, area_epoch_,
+    t->instant(obs::EventKind::kKeyRecovery, id(), now, nic_id_, seat_.epoch(),
                trigger);
   if (auto* m = network().metrics())
     m->counter(std::string("member.key_recovery_requests.") + trigger).inc();
-
-  // The AC authenticates the requester by membership record + source node,
-  // answering sealed under the member's public key.
-  send_ctrl(ac_node_, kLabelRecovery,
-            wrap(KeyRecoveryRequest{.client_id = nic_id_, .ac_id = ac_id_,
-                                    .epoch = area_epoch_,
-                                    .nonce = recovery_nonce_}));
+  send_ctrl(seat_.node(), kLabelRecovery, std::move(*request));
 }
 
 void Member::handle_key_recovery_reply(const EnvelopeView& env) {
-  if (!joined_) return;
-  // Only our AC may install keys into us.
-  if (!directory_.verify(ac_id_, env.box, env.sig)) return;
-  auto reply = unwrap<KeyRecoveryReply>(env, keypair_.priv);
-  if (reply.ac_id != ac_id_) return;
-  // Nonce echo binds the reply to our outstanding request (anti-replay).
-  if (!recovery_pending_ || reply.nonce_plus1 != recovery_nonce_ + 1) return;
-
-  if (reply.epoch < area_epoch_) {
-    // The reply was built before a rekey we have since applied: installing
-    // it wholesale would roll keys backward, and the epoch stream would
-    // never expose the damage. Take what the version guard allows and let
-    // the watchdog re-request a current catch-up.
-    keys_.install(reply.path);
+  if (!joined_ ||
+      !seat_.accept_recovery_reply(directory_, env, keypair_.priv))
     return;
-  }
-  // Authoritative catch-up: key VERSIONS are per-instance and can regress
-  // across a takeover, so the version-guarded install() could silently
-  // ignore the new primary's keys. Replace the whole path instead.
-  keys_.reinstall(reply.path);
-  area_epoch_ = reply.epoch;
-  recovery_pending_ = false;
   ++key_recoveries_;
   if (auto* m = network().metrics())
     m->counter("member.key_recoveries").inc();
@@ -499,12 +401,12 @@ void Member::handle_area_map_update(const EnvelopeView& env) {
   if (!verify_envelope(env, rs_pub_)) return;
   if (!directory_.adopt(unwrap<AreaMapUpdate>(env).directory)) return;
   if (auto* m = network().metrics()) m->counter("member.map_updates").inc();
-  if (joined_ && directory_.find(ac_id_) == nullptr) {
+  if (joined_ && directory_.find(seat_.ac_id()) == nullptr) {
     // Our area was retired by a merge and we missed the migrate directive
     // (lost, or we were down). The map itself is the fallback signal: drop
     // the dead membership and take the ticket to a surviving area.
-    network().leave_group(area_group_, id());
-    keys_.clear();
+    network().leave_group(seat_.group(), id());
+    seat_.clear_keys();
     joined_ = false;
     if (!rejoin_in_progress_ && !sealed_ticket_.empty() &&
         !directory_.entries().empty())
@@ -514,15 +416,13 @@ void Member::handle_area_map_update(const EnvelopeView& env) {
 
 void Member::handle_migrate_directive(const EnvelopeView& env) {
   auto directive = unwrap<MigrateDirective>(env);
-  if (!joined_ || directive.from_ac != ac_id_ || directive.client_id != nic_id_)
+  if (!joined_ || directive.from_ac != seat_.ac_id() ||
+      directive.client_id != nic_id_)
     return;
   // Only our own AC may move us, and only recently (replayed directives
   // must not bounce us back after a later move).
   if (!directory_.verify(directive.from_ac, env.box, env.sig)) return;
-  net::SimTime now = network().now();
-  net::SimTime skew =
-      now >= directive.ts ? now - directive.ts : directive.ts - now;
-  if (skew > config_.ts_window) return;
+  if (!config_.ts_fresh(directive.ts, network().now())) return;
   if (!directive.map_update.empty()) {
     // The directive carries the RS's latest signed map so we can learn a
     // freshly split target before our own copy catches up.
@@ -534,7 +434,7 @@ void Member::handle_migrate_directive(const EnvelopeView& env) {
     } catch (const Error&) {
     }
   }
-  if (directive.target == ac_id_ || rejoin_in_progress_) return;
+  if (directive.target == seat_.ac_id() || rejoin_in_progress_) return;
   if (directory_.find(directive.target) == nullptr) return;
   ++migrations_;
   if (auto* m = network().metrics()) m->counter("member.migrations").inc();
@@ -552,10 +452,10 @@ AcId Member::next_rejoin_target() const {
 
 void Member::trigger_mobility_rejoin() {
   if (sealed_ticket_.empty() || rejoin_in_progress_) return;
-  recovery_pending_ = false;  // the rejoin supersedes any pending catch-up
+  seat_.cancel_recovery();  // the rejoin supersedes any pending catch-up
   // Choose a preferred AC that is not the silent one.
   for (const AcInfo& e : directory_.entries()) {
-    if (e.ac_id == ac_id_) continue;
+    if (e.ac_id == seat_.ac_id()) continue;
     ++watchdog_rejoins_;
     joined_ = false;  // we are cut off; stop claiming membership
     rejoin(e.ac_id);
@@ -569,13 +469,10 @@ void Member::on_timer(std::uint64_t token) {
   if ((token >> 32) != timer_gen_) return;    // armed before a crash
   switch (token & 0xFFFFFFFFull) {
     case kTimerAlive: {
-      net::SimTime now = network().now();
-      if (joined_ && now - last_sent_ac_ >= config_.t_active) {
-        network().unicast(
-            id(), ac_node_, kLabelAlive,
-            wrap(Alive{.from = AliveMember{.client_id = nic_id_}}));
-        last_sent_ac_ = now;
-      }
+      if (joined_)
+        if (auto alive = seat_.alive_due(nic_id_, network().now(), config_))
+          network().unicast(id(), seat_.node(), kLabelAlive,
+                            std::move(*alive));
       network().set_timer(id(), config_.t_active, timer_token(kTimerAlive));
       return;
     }
@@ -595,19 +492,19 @@ void Member::on_timer(std::uint64_t token) {
         // crashed); the next area over answers — or redirects us.
         if (now - rejoin_started_ > config_.rejoin_retry_interval)
           rejoin(next_rejoin_target());
-      } else if (joined_ && now - last_heard_ac_ > config_.ac_silence_limit()) {
+      } else if (joined_ && seat_.silent(now, config_)) {
         trigger_mobility_rejoin();
       }
       // A recovery answer can itself be lost; re-ask on the same cadence.
       // But recovery answered by nothing for the full disconnection horizon
       // means either the AC is gone or we were silently evicted while away
       // (the AC refuses evicted members by design) — the watchdog cannot
-      // see the latter because the AC's multicasts keep refreshing
-      // last_heard_ac_. The ticket rejoin path resolves both.
-      if (joined_ && recovery_pending_) {
-        if (now - recovery_started_ > config_.ac_silence_limit())
+      // see the latter because the AC's multicasts keep refreshing the
+      // silence clock. The ticket rejoin path resolves both.
+      if (joined_ && seat_.recovery_pending()) {
+        if (now - seat_.recovery_started() > config_.ac_silence_limit())
           trigger_mobility_rejoin();
-        else if (now - last_recovery_request_ >= config_.key_recovery_interval)
+        else
           request_key_recovery("retry");
       } else if (joined_ && !held_data_.empty()) {
         // Held data whose rekey never came: it was lost, or a forger sent
@@ -636,14 +533,14 @@ Bytes Member::checkpoint_state() const {
   w.u8(phase);
   w.u32(rs_node_);
   w.u64(requested_duration_);
-  w.u64(ac_id_);
-  w.u32(ac_node_);
-  w.u32(area_group_);
-  w.u64(area_epoch_);
+  w.u64(seat_.ac_id());
+  w.u32(seat_.node());
+  w.u32(seat_.group());
+  w.u64(seat_.epoch());
   w.u64(rejoin_target_);
   w.bytes(sealed_ticket_);
   w.bytes(directory_.serialize());
-  w.bytes(keys_.serialize());
+  w.bytes(seat_.keys().serialize());
   w.u64(watchdog_rejoins_);
   w.u64(key_recoveries_);
   w.u64(migrations_);
@@ -655,14 +552,15 @@ void Member::restore_state(ByteView blob) {
   std::uint8_t phase = r.u8();
   rs_node_ = r.u32();
   requested_duration_ = r.u64();
-  ac_id_ = r.u64();
-  ac_node_ = r.u32();
-  area_group_ = r.u32();
-  area_epoch_ = r.u64();
+  AcId ac = r.u64();
+  net::NodeId ac_node = r.u32();
+  net::GroupId area_group = r.u32();
+  std::uint64_t area_epoch = r.u64();
   rejoin_target_ = r.u64();
   sealed_ticket_ = r.bytes();
   directory_ = AcDirectory::deserialize(r.bytes());
-  keys_ = lkh::MemberKeyState::deserialize(r.bytes());
+  seat_ = AreaSeat(ac, ac_node, area_group, area_epoch,
+                   lkh::MemberKeyState::deserialize(r.bytes()));
   watchdog_rejoins_ = r.u64();
   key_recoveries_ = r.u64();
   migrations_ = r.u64();
@@ -676,22 +574,21 @@ void Member::restore_state(ByteView blob) {
   joined_ = (phase == 1);
   join_in_progress_ = false;
   rejoin_in_progress_ = false;
-  recovery_pending_ = false;
   join_backoff_until_ = 0;
   seen_data_.clear();
   received_data_.clear();
   discard_held();
   data_plane_cache_.clear();
-  last_heard_ac_ = network().now();  // grace period before the watchdog
-  last_sent_ac_ = network().now();
-  if (joined_ && directory_.find(ac_id_) == nullptr) {
+  seat_.heard(network().now());  // grace period before the watchdog
+  seat_.sent(network().now());
+  if (joined_ && directory_.find(seat_.ac_id()) == nullptr) {
     // Captured after a merge retired our area but before we acted on it.
     joined_ = false;
     phase = 3;
     if (!directory_.entries().empty())
       rejoin_target_ = directory_.entries().front().ac_id;
   }
-  if (joined_) network().join_group(area_group_, id());
+  if (joined_) network().join_group(seat_.group(), id());
   start_timers();
   if (phase == 2) {
     join(rs_node_, requested_duration_);
@@ -703,7 +600,7 @@ void Member::restore_state(ByteView blob) {
 
 void Member::on_message(const net::Message& raw) {
   // Any frame from our AC — including a bare ARQ ack — is a sign of life.
-  if (raw.from == ac_node_) last_heard_ac_ = network().now();
+  if (raw.from == seat_.node()) seat_.heard(network().now());
 
   ensure_arq();
   net::Message unwrapped;
@@ -721,9 +618,13 @@ void Member::on_message(const net::Message& raw) {
       case MsgType::kRejoinStep2: return handle_rejoin_step2(env);
       case MsgType::kRejoinStep6: return handle_rejoin_step6(msg, env);
       case MsgType::kRekey: return handle_rekey(msg, env);
-      case MsgType::kSplitUpdate: return handle_split_update(msg, env);
+      case MsgType::kSplitUpdate:
+        return seat_.install_key_path(directory_, msg.from, env,
+                                      keypair_.priv);
       case MsgType::kData: return handle_data(msg, env);
-      case MsgType::kTakeOver: return handle_takeover(env);
+      case MsgType::kTakeOver:
+        return AreaSeat::follow_takeover(directory_, &seat_, env,
+                                         network().now(), config_);
       case MsgType::kAlive: return handle_ac_beacon(env);
       case MsgType::kKeyRecoveryReply: return handle_key_recovery_reply(env);
       case MsgType::kJoinShed: return handle_join_shed(msg, env);

@@ -2,10 +2,14 @@
 //
 // Drives the client half of the join protocol (steps 1, 3, 6 of Fig. 3)
 // and the rejoin protocol (steps 1, 3 of Fig. 7), sends and receives
-// encrypted multicast data, follows rekeys, and runs the paper's failure
-// detection: periodic alive messages toward its AC (T_active) and a
-// disconnection watchdog (5 x T_idle of AC silence) that triggers an
-// automatic ticket-rejoin at another area controller.
+// encrypted multicast data, and runs the paper's failure detection:
+// periodic alive messages toward its AC (T_active) and a disconnection
+// watchdog (5 x T_idle of AC silence) that triggers an automatic
+// ticket-rejoin at another area controller.
+//
+// Its side of the area's key stream is an AreaSeat, as a child AC's uplink
+// is. The member adds its own follow-up: holding data that overtakes its
+// rekey, its counters, and a ticket rejoin when recovery never completes.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +21,7 @@
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
 #include "lkh/member_state.h"
+#include "mykil/area_seat.h"
 #include "mykil/config.h"
 #include "mykil/directory.h"
 #include "mykil/ticket.h"
@@ -51,8 +56,8 @@ class Member : public net::Node {
   // ---- introspection ----
   [[nodiscard]] ClientId client_id() const { return nic_id_; }
   [[nodiscard]] bool joined() const { return joined_; }
-  [[nodiscard]] AcId current_ac() const { return ac_id_; }
-  [[nodiscard]] const lkh::MemberKeyState& keys() const { return keys_; }
+  [[nodiscard]] AcId current_ac() const { return seat_.ac_id(); }
+  [[nodiscard]] const lkh::MemberKeyState& keys() const { return seat_.keys(); }
   [[nodiscard]] const std::vector<Bytes>& received_data() const {
     return received_data_;
   }
@@ -82,7 +87,7 @@ class Member : public net::Node {
     return watchdog_rejoins_;
   }
   /// Rekey-stream epoch this member has caught up to (DESIGN.md 9.2).
-  [[nodiscard]] std::uint64_t area_epoch() const { return area_epoch_; }
+  [[nodiscard]] std::uint64_t area_epoch() const { return seat_.epoch(); }
   /// Rekey multicasts that updated at least one held key, and the total
   /// number of entries actually applied (off-path entries are skipped and
   /// never counted). The batching benchmarks assert these.
@@ -128,8 +133,6 @@ class Member : public net::Node {
   void handle_rejoin_step2(const EnvelopeView& env);
   void handle_rejoin_step6(const net::Message& msg, const EnvelopeView& env);
   void handle_rekey(const net::Message& msg, const EnvelopeView& env);
-  /// Key paths are accepted only from our AC's listed nodes.
-  void handle_split_update(const net::Message& msg, const EnvelopeView& env);
   void handle_data(const net::Message& msg, const EnvelopeView& env);
   /// Open a data packet's sealed data key and payload under the current or
   /// the previous group key; nullopt when neither opens it.
@@ -140,15 +143,13 @@ class Member : public net::Node {
   void retry_held(bool recovered);
   /// Discard every held packet unread: the membership it arrived in ended.
   void discard_held();
-  void handle_takeover(const EnvelopeView& env);
   /// RS load-shed reply to step 1: back off before retrying the join.
   void handle_join_shed(const net::Message& msg, const EnvelopeView& env);
   /// Versioned directory push (RS-signed, re-multicast by our AC).
   void handle_area_map_update(const EnvelopeView& env);
   /// Our AC directs us to rejoin a sibling area (split/merge rebalancing).
   void handle_migrate_directive(const EnvelopeView& env);
-  /// AC idle-beacon: compare the advertised rekey epoch with ours and
-  /// start key recovery on a gap (catches a lost final-rekey).
+  /// AC idle-beacon: start key recovery when it reveals a lost rekey.
   void handle_ac_beacon(const EnvelopeView& env);
   void handle_key_recovery_reply(const EnvelopeView& env);
   void trigger_mobility_rejoin();
@@ -188,16 +189,11 @@ class Member : public net::Node {
 
   // membership state
   bool joined_ = false;
-  AcId ac_id_ = kNoAc;
-  net::NodeId ac_node_ = net::kNoNode;
-  net::GroupId area_group_ = 0;
-  lkh::MemberKeyState keys_;
+  AreaSeat seat_;  ///< our seat in the current AC's area
   Bytes sealed_ticket_;
   AcDirectory directory_;
 
   // liveness
-  net::SimTime last_heard_ac_ = 0;
-  net::SimTime last_sent_ac_ = 0;
   bool rejoin_in_progress_ = false;
   std::uint64_t watchdog_rejoins_ = 0;
   /// Earliest time the watchdog may retry step 1 after an RS load-shed.
@@ -211,13 +207,6 @@ class Member : public net::Node {
 
   // reliability (ARQ + rekey gap recovery)
   net::ArqEndpoint arq_;
-  std::uint64_t area_epoch_ = 0;
-  bool recovery_pending_ = false;
-  std::uint64_t recovery_nonce_ = 0;
-  net::SimTime last_recovery_request_ = 0;
-  /// When the current recovery exchange began; stuck past the disconnection
-  /// horizon escalates to a ticket rejoin (we may have been evicted).
-  net::SimTime recovery_started_ = 0;
   std::uint64_t key_recoveries_ = 0;
   std::uint64_t rekeys_applied_ = 0;
   std::uint64_t rekey_entries_applied_ = 0;

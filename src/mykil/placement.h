@@ -27,12 +27,6 @@
 
 namespace mykil::core {
 
-/// Placement policy for MykilGroup deployments.
-enum class ShardPlacement {
-  kRoundRobin,  ///< legacy striping: area i on shard 1 + i % 255
-  kLocality,    ///< affinity clustering + LPT packing (default)
-};
-
 /// Undirected affinity between two placement units. Weight is relative
 /// expected message volume; only the ordering matters.
 struct PlacementEdge {

@@ -70,9 +70,6 @@ Deployment build_deployment(const ChaosOptions& opt, bool join) {
   gopt.with_backups = opt.with_backups;
   gopt.config.reliable_control = opt.reliable_control;
   gopt.workers = opt.workers;
-  gopt.placement = opt.round_robin_placement
-                       ? core::ShardPlacement::kRoundRobin
-                       : core::ShardPlacement::kLocality;
   if (opt.dynamic_areas) {
     gopt.config.admission_rate = 3.0;
     gopt.config.admission_burst = 2;

@@ -76,10 +76,6 @@ struct ChaosOptions {
   /// including its digest — is identical for every value; the determinism
   /// tests assert exactly that.
   unsigned workers = 1;
-  /// Use the legacy round-robin shard placement instead of the default
-  /// locality-aware one (DESIGN.md 11.4). The digest is identical either
-  /// way — the placement determinism tests assert exactly that.
-  bool round_robin_placement = false;
   /// Extra one-way latency between nodes in different sites (areas). 0
   /// (default) models a flat LAN and leaves every historical digest
   /// untouched; > 0 models a WAN split and lets the engine widen its

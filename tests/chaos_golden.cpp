@@ -5,9 +5,16 @@
 // them with the command that made them:
 //
 //   sim=./build/examples/mykil_sim
+//   rm BENCH_chaos.json
 //   for s in $(seq 1 20); do
 //     $sim --chaos $s --area-split --workers 1 --chaos-json BENCH_chaos.json
 //   done
+//   for s in $(seq 1 20); do
+//     $sim --chaos $s --workers 1 --chaos-json BENCH_chaos.json
+//   done
+//
+// The first 20 rows run with online area management (--area-split), the
+// last 20 in base mode (fixed areas).
 //
 // Usage: chaos_golden <path to BENCH_chaos.json>
 #include <cstdio>

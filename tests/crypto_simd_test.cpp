@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "common/hex.h"
 #include "crypto/cpu_features.h"
 #include "crypto/data_plane.h"
 #include "crypto/hmac.h"
@@ -272,18 +273,44 @@ TEST(HmacSimd, Verify4TamperAndTruncation) {
   EXPECT_FALSE(ok[3]);
 }
 
-TEST(DataPlaneSimd, SealMatchesSymSealBitForBit) {
+TEST(DataPlaneSimd, SealMatchesKnownAnswers) {
+  // sym_seal is a one-shot DataPlaneKey, so the two cannot be checked
+  // against each other. These boxes were recorded from the former
+  // stand-alone sym_seal (speck_ctr under derive("enc"), then
+  // hmac_sha256_trunc under derive("mac")): nonce(8) || ciphertext ||
+  // tag(16). The 1024-byte box is pinned by its SHA-256.
+  struct Answer {
+    std::size_t len;
+    const char* box_hex;
+  };
+  const Answer answers[] = {
+      {0, "ff59f06111d4599a48ad71259bdc25f1463374cf9f28c66c"},
+      {1, "ff59f06111d4599ab22d0c5409f3f0306d2a03896ac14ea392"},
+      {16,
+       "ff59f06111d4599ab2f77f5b11e349628bdb9b01cabe72958dbb383962c52ceb"
+       "530561967dbc405a"},
+      {100,
+       "ff59f06111d4599ab2f77f5b11e349628bdb9b01cabe7295a79c9309ebe0e481"
+       "df713b117def07a2f83ab128bd215e4433d11a6d669265937de72f40c546483f"
+       "1d226a0bea53451ddee5495e4d2454e5c8c774d04d848e486e1c94011c53957f"
+       "d11060eaa36ddceb181f35be6094ec4c18de02c5412ec8232076ce6d"},
+  };
   SymmetricKey key(test_key());
   DataPlaneKey dpk(key);
-  for (std::size_t len : {0u, 1u, 16u, 100u, 1024u}) {
-    Bytes msg = pattern(len, 0x42);
-    Prng a(1234), b(1234);
-    Bytes via_dpk = dpk.seal(msg, a);
-    Bytes via_sym = sym_seal(key, msg, b);
-    ASSERT_EQ(via_dpk, via_sym) << len;
-    ASSERT_EQ(dpk.open(via_sym), msg) << len;
-    ASSERT_EQ(sym_open(key, via_dpk), msg) << len;
+  for (const Answer& a : answers) {
+    Bytes msg = pattern(a.len, 0x42);
+    Prng p1(1234), p2(1234);
+    EXPECT_EQ(hex_encode(sym_seal(key, msg, p1)), a.box_hex) << a.len;
+    EXPECT_EQ(hex_encode(dpk.seal(msg, p2)), a.box_hex) << a.len;
+    EXPECT_EQ(sym_open(key, hex_decode(a.box_hex)), msg) << a.len;
   }
+  Bytes msg = pattern(1024, 0x42);
+  Prng prng(1234);
+  Bytes box = sym_seal(key, msg, prng);
+  EXPECT_EQ(box.size(), 1024 + kSealOverhead);
+  EXPECT_EQ(hex_encode(Sha256::digest(box)),
+            "377d062c6f3782fa73bc1cfe09a7bed9abefc6739afc0b73d41644babff479d1");
+  EXPECT_EQ(dpk.open(box), msg);
 }
 
 TEST(DataPlaneSimd, Open4IsolatesTamperedSlot) {

@@ -307,5 +307,141 @@ TEST(MykilRecovery, ForgedDataWaitsForTheWatchdogAndIsDiscarded) {
   EXPECT_TRUE(victim->joined());
 }
 
+
+// The child AC is a member of its parent's area (Section III-A) and keeps
+// the same rekey cursor and recovery exchange toward it as a member does
+// toward its own AC. The tests below watch that uplink from outside:
+// through metrics and through what the two areas' members receive.
+
+TEST(MykilRecovery, ChildAcRecoversParentRekeyLostToBlockedLink) {
+  TwoAreas w(quiet_net(), fast_options());
+  auto root_sender = w.join(1);
+  auto child_a = w.join(2);
+  auto leaver = w.join(3);
+  auto child_b = w.join(4);
+  w.group.settle(net::sec(1));
+  AreaController& parent = w.group.ac(0);
+  AreaController& child = w.group.ac(1);
+  ASSERT_TRUE(child.uplink_ready());
+  ASSERT_EQ(leaver->current_ac(), parent.ac_id());
+  ASSERT_EQ(child_a->current_ac(), child.ac_id());
+
+  // The child AC misses the root area's rekey for the leave.
+  w.net.block_link(parent.id(), child.id());
+  leaver->leave();
+  w.group.settle(net::msec(20));
+  parent.flush_rekeys();
+  w.group.settle(net::msec(20));
+  w.net.unblock_link(parent.id(), child.id());
+  ASSERT_EQ(counter(w.metrics, "ac.uplink_recovery_requests"), 0u);
+
+  // The parent's next idle beacon advertises an epoch the child never saw;
+  // one catch-up closes the gap.
+  w.group.settle(net::sec(1));
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recovery_requests"), 1u);
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recoveries"), 1u);
+
+  // Root-area data sealed under the new root key crosses into the child
+  // area again.
+  root_sender->send_data(to_bytes("across the healed uplink"));
+  w.group.settle(net::msec(100));
+  for (Member* m : {child_a.get(), child_b.get()}) {
+    ASSERT_EQ(m->received_data().size(), 1u);
+    EXPECT_EQ(to_string(m->received_data()[0]), "across the healed uplink");
+  }
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recoveries"), 1u);
+}
+
+GroupOptions manual_options() {
+  GroupOptions o = fast_options();
+  o.config.enable_timers = false;  // no beacons, watchdogs or timer flushes
+  return o;
+}
+
+TEST(MykilRecovery, ChildAcInstallsKeyPathsOnlyFromItsParent) {
+  // A key path sealed to the child AC carries no signature and no nonce:
+  // the source address is all that ties it to the parent. The child
+  // forwards its members' data into the root area under its root-area key,
+  // so a forged root key would cut the root area off from the child's data.
+  TwoAreas w(quiet_net(), manual_options());
+  auto root_member = w.join(1);
+  auto child_sender = w.join(2);
+  w.group.ac(0).flush_rekeys();
+  w.group.ac(1).flush_rekeys();
+  w.group.settle();
+  AreaController& parent = w.group.ac(0);
+  AreaController& child = w.group.ac(1);
+  ASSERT_EQ(child_sender->current_ac(), child.ac_id());
+
+  crypto::Prng prng(91);
+  const crypto::SymmetricKey forged = crypto::SymmetricKey::random(prng);
+  auto forged_path = [&] {
+    return wrap(SplitUpdate{.path = {KeyPath{{0, 1'000'000, forged}}}},
+                child.public_key(), prng);
+  };
+  w.net.unicast(w.group.rs().id(), child.id(), "attack", forged_path());
+  w.group.settle();
+  child_sender->send_data(to_bytes("under the parent's key"));
+  w.group.settle();
+  ASSERT_EQ(root_member->received_data().size(), 1u);
+  EXPECT_EQ(to_string(root_member->received_data()[0]),
+            "under the parent's key");
+
+  // The same packet from the parent's node is installed: the check is the
+  // sender, not a malformed packet.
+  w.net.unicast(parent.id(), child.id(), "attack", forged_path());
+  w.group.settle();
+  child_sender->send_data(to_bytes("under the forged key"));
+  w.group.settle();
+  EXPECT_EQ(root_member->received_data().size(), 1u);
+  EXPECT_EQ(root_member->held_count(), 1u);
+}
+
+TEST(MykilRecovery, ChildAcIgnoresARecoveryReplyWithTheWrongNonce) {
+  // The parent signs a catch-up for whoever asks from the child AC's node,
+  // so a signed reply alone proves nothing: the child takes only the one
+  // that echoes the nonce of its own outstanding request.
+  TwoAreas w(quiet_net(), manual_options());
+  auto root_member = w.join(1);
+  auto child_member = w.join(2);
+  w.group.ac(0).flush_rekeys();
+  w.group.ac(1).flush_rekeys();
+  w.group.settle();
+  AreaController& parent = w.group.ac(0);
+  AreaController& child = w.group.ac(1);
+  ASSERT_TRUE(child.uplink_ready());
+
+  // Garbage on the root group opens under no key, so the child asks its
+  // parent for a catch-up. In the same instant a request in the child's
+  // name, with a nonce of the test's choosing, reaches the parent first: it
+  // is answered, and the parent's per-member rate limit then drops the
+  // child's own request.
+  auto garbage = [&](std::uint64_t msg_id) {
+    w.net.multicast(w.group.rs().id(), parent.area_group(), "mykil-data",
+                    wrap(Data{.msg_id = msg_id,
+                              .sender = 99,
+                              .key_box = Bytes(40, 0x11),
+                              .payload_box = Bytes(40, 0x22)}));
+  };
+  garbage(0xF00D0001);
+  w.net.unicast(child.id(), parent.id(), "mykil-recovery",
+                wrap(KeyRecoveryRequest{.client_id = child.ac_id(),
+                                        .ac_id = parent.ac_id(),
+                                        .epoch = 0,
+                                        .nonce = 12345}));
+  w.group.settle();
+  EXPECT_EQ(parent.counters().key_recoveries_served, 1u);
+  EXPECT_EQ(counter(w.metrics, "ac.key_recovery_rate_limited"), 1u);
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recovery_requests"), 1u);
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recoveries"), 0u);
+
+  // The child's next request is answered with its own nonce, and taken.
+  garbage(0xF00D0002);
+  w.group.settle();
+  EXPECT_EQ(parent.counters().key_recoveries_served, 2u);
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recovery_requests"), 2u);
+  EXPECT_EQ(counter(w.metrics, "ac.uplink_recoveries"), 1u);
+}
+
 }  // namespace
 }  // namespace mykil::core

@@ -1,5 +1,6 @@
-// Data replay: a kData packet heard a second time, from anyone, is dropped
-// by its message id before any decryption or forwarding.
+// Replay: a kData packet heard a second time, from anyone, is dropped by its
+// message id before any decryption or forwarding, and a validly signed
+// TakeOver replayed past the timestamp window moves no one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -24,15 +25,17 @@ net::NetworkConfig quiet_net() {
   return cfg;
 }
 
-/// Subscribes to one multicast group, keeps the first kData packet a given
-/// node sent there, and can multicast it back into the group verbatim.
+/// Subscribes to one multicast group, keeps the first packet of one message
+/// type a given node sent there, and can multicast it back into the group
+/// verbatim.
 class Replayer : public net::Node {
  public:
-  explicit Replayer(net::NodeId watch) : watch_(watch) {}
+  explicit Replayer(net::NodeId watch, MsgType type = MsgType::kData)
+      : watch_(watch), type_(type) {}
 
   void on_message(const net::Message& msg) override {
     if (captured_ || msg.from != watch_) return;
-    if (parse_envelope_view(msg.payload).type != MsgType::kData) return;
+    if (parse_envelope_view(msg.payload).type != type_) return;
     captured_ = msg.payload;
     group_ = msg.group;
   }
@@ -41,6 +44,7 @@ class Replayer : public net::Node {
 
  private:
   net::NodeId watch_;
+  MsgType type_;
   std::optional<net::Payload> captured_;
   net::GroupId group_ = net::kNoGroup;
 };
@@ -119,6 +123,56 @@ TEST(MykilReplay, AcDoesNotReforwardItsOwnPacketHeardOnTheParentGroup) {
   EXPECT_EQ(child_member->received_data().size(), 1u);
   EXPECT_EQ(root_member->received_data().size(), 1u);
   EXPECT_EQ(neighbour->received_data().size(), 1u);
+}
+
+TEST(MykilReplay, MemberIgnoresAStaleTakeOverForADemotedNode) {
+  // A TakeOver is signed by the area's own key, so a replay verifies. After
+  // the area has changed hands twice, the first announcement names a node
+  // that is a standby again; replayed past the timestamp window it must not
+  // point the member's directory, and its control traffic, back at it.
+  GroupOptions opts = logic_options(7);
+  opts.with_backups = true;
+  opts.config.enable_timers = true;  // heartbeats drive the takeovers
+  opts.config.t_idle = net::msec(100);
+  opts.config.t_active = net::msec(200);
+  opts.config.heartbeat_interval = net::msec(100);
+  net::Network net(quiet_net());
+  MykilGroup group(net, opts);
+  group.add_area();
+  group.finalize();
+  AreaController& first = group.ac(0);
+  AreaController& second = *group.backup(0);
+  const AcId ac = first.ac_id();
+  auto member = group.make_member(1, net::sec(3600));
+  group.join_member(*member, net::sec(3600));
+  ASSERT_TRUE(member->joined());
+
+  Replayer tap(second.id(), MsgType::kTakeOver);
+  net.attach(tap);
+  net.join_group(first.area_group(), tap.id());
+
+  // First takeover: the standby announces itself, and the tap keeps it.
+  net.crash(first.id());
+  group.settle(net::sec(2));
+  ASSERT_EQ(second.role(), AreaController::Role::kPrimary);
+  ASSERT_TRUE(tap.captured());
+  ASSERT_EQ(member->directory().find(ac)->node, second.id());
+
+  // Second takeover: the first node returns as the standby and takes the
+  // area back when the second crashes.
+  net.recover(first.id());
+  group.settle(net::sec(2));
+  ASSERT_EQ(first.role(), AreaController::Role::kBackup);
+  net.crash(second.id());
+  group.settle(net::sec(2));
+  ASSERT_EQ(first.role(), AreaController::Role::kPrimary);
+  ASSERT_EQ(member->directory().find(ac)->node, first.id());
+
+  group.settle(opts.config.ts_window + net::sec(1));
+  tap.replay();
+  group.settle();
+  EXPECT_EQ(member->directory().find(ac)->node, first.id());
+  EXPECT_TRUE(member->joined());
 }
 
 }  // namespace

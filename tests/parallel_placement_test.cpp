@@ -2,14 +2,15 @@
 // locality hint, so a chaos schedule must produce ONE digest no matter how
 // units are placed or how many workers execute it.
 //
-// Three sweeps over the same seeded schedule:
-//   1. locality vs round-robin placement at workers 1/2/8 — six runs, one
-//      digest. The schedule uses dynamic_areas so spares, splits, and
-//      merges exercise the affinity edges the placer actually uses.
-//   2. the same cross-placement sweep with inter-site latency > 0, which
-//      widens the conservative window (adaptive lookahead): a different
-//      schedule than sweep 1 — wider windows batch group ops differently —
-//      but again ONE digest across placements and worker counts.
+// Each sweep runs the same seeded schedule at workers 1/2/8, which locality
+// placement packs onto 1, 4 and up to 16 shards — three placements, one
+// digest. Three sweeps:
+//   1. dynamic_areas, so spares, splits and merges exercise the affinity
+//      edges the placer actually uses.
+//   2. the same schedule with inter-site latency > 0, which widens the
+//      conservative window (adaptive lookahead): a different schedule than
+//      sweep 1 — wider windows batch group ops differently — but again ONE
+//      digest across worker counts.
 //   3. a crash-heavy seed under the widened lookahead: primary crashes land
 //      mid-window, where a placement- or worker-dependent merge order
 //      would show up first.
@@ -21,27 +22,18 @@ namespace {
 
 using namespace mykil;
 
-struct Combo {
-  unsigned workers;
-  bool round_robin;
-};
+constexpr unsigned kWorkers[] = {1, 2, 8};
 
-constexpr Combo kCombos[] = {
-    {1, false}, {1, true}, {2, false}, {2, true}, {8, false}, {8, true},
-};
-
-/// Run the schedule for every placement x workers combo; return true iff
-/// all digests match the first and every run converged.
+/// Run the schedule at every worker count; return true iff all digests
+/// match the first and every run converged.
 bool sweep(const char* name, const workload::ChaosOptions& base) {
   std::uint64_t digest = 0;
-  for (const Combo& c : kCombos) {
+  for (unsigned workers : kWorkers) {
     workload::ChaosOptions opt = base;
-    opt.workers = c.workers;
-    opt.round_robin_placement = c.round_robin;
+    opt.workers = workers;
     workload::ChaosReport rep = workload::run_chaos(opt);
-    std::printf("parallel_placement[%s]: workers=%u %-11s digest=%016llx %s\n",
-                name, c.workers, c.round_robin ? "round-robin" : "locality",
-                static_cast<unsigned long long>(rep.digest),
+    std::printf("parallel_placement[%s]: workers=%u digest=%016llx %s\n",
+                name, workers, static_cast<unsigned long long>(rep.digest),
                 rep.converged() ? "converged" : "FAILED");
     if (!rep.converged()) return false;
     if (digest == 0) {
@@ -81,6 +73,6 @@ int main() {
   if (!sweep("faults+lookahead", crash)) return 1;
 
   std::printf("parallel_placement: PASS — one digest per schedule across "
-              "6 placement/worker combos each\n");
+              "workers 1/2/8\n");
   return 0;
 }
