@@ -257,6 +257,11 @@ KeyTree KeyTree::deserialize(ByteView data, crypto::Prng prng) {
     n.parent = r.u32();
     std::uint8_t nchildren = r.u8();
     for (std::uint8_t c = 0; c < nchildren; ++c) n.children.push_back(r.u32());
+    // check_invariants follows these links: each must name a node.
+    if (n.parent != kNoNodeIndex && n.parent >= count)
+      throw WireError("parent index out of range");
+    for (NodeIndex c : n.children)
+      if (c >= count) throw WireError("child index out of range");
     n.key = crypto::SymmetricKey(r.raw(crypto::SymmetricKey::kSize));
     n.version = r.u64();
     n.member = r.u64();

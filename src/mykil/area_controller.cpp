@@ -293,7 +293,7 @@ std::vector<lkh::PathKey> AreaController::admit(ClientId client,
     }
   }
 
-  MemberRecord rec;
+  AreaMember rec;
   rec.node = node;
   rec.pubkey = Bytes(pubkey.begin(), pubkey.end());
   rec.last_heard = network().now();
@@ -877,7 +877,7 @@ void AreaController::handle_key_recovery_request(const net::Message& msg,
   // Unknown, evicted, or departed members get no answer — forward secrecy:
   // a catch-up must never leak the current key to someone rekeyed out.
   if (it == members_.end()) return;
-  MemberRecord& rec = it->second;
+  AreaMember& rec = it->second;
   if (rec.node != msg.from) return;  // anti-spoofing, as for leave requests
   net::SimTime now = network().now();
   if (rec.last_recovery_reply != 0 &&
@@ -1028,21 +1028,9 @@ void AreaController::issue_migrate_directives() {
 
 // -------------------------------------------------------------- replication
 
-Bytes AreaController::make_snapshot() const {
-  WireWriter w;
-  w.u32(area_group_);
-  w.u64(parent_ac());
-  w.u64(rekey_epoch_);
-  w.bytes(tree_->serialize());
-  w.u32(static_cast<std::uint32_t>(members_.size()));
-  for (const auto& [cid, rec] : members_) {
-    w.u64(cid);
-    w.u32(rec.node);
-    w.bytes(rec.pubkey);
-    w.bytes(rec.sealed_ticket);
-    w.u64(rec.valid_until);
-  }
-  return w.take();
+Bytes AreaController::replication_snapshot() const {
+  return encode_fields<AreaSnapshot>(area_group_, parent_ac(), rekey_epoch_,
+                                     tree_->serialize(), members_);
 }
 
 void AreaController::sync_backup() {
@@ -1054,35 +1042,25 @@ void AreaController::sync_backup() {
   network().unicast(id(), backup_node_, kLabelRepl,
                     wrap(StateSync{.version = sync_version_,
                                    .takeover_epoch = takeover_epoch_,
-                                   .snapshot = make_snapshot()},
+                                   .snapshot = replication_snapshot()},
                          k_shared_, prng_));
 }
 
-void AreaController::load_snapshot(ByteView snapshot) {
-  WireReader r(snapshot);
-  area_group_ = r.u32();
-  AcId parent = r.u64();
-  rekey_epoch_ = r.u64();
-  tree_ = lkh::KeyTree::deserialize(r.bytes(), prng_.fork());
-  members_.clear();
-  std::uint32_t n = r.u32();
+void AreaController::load_snapshot(AreaSnapshot snapshot) {
+  lkh::KeyTree tree = lkh::KeyTree::deserialize(snapshot.tree, prng_.fork());
+  area_group_ = snapshot.area_group;
+  rekey_epoch_ = snapshot.rekey_epoch;
+  tree_ = std::move(tree);
   net::SimTime now = network().now();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    ClientId cid = r.u64();
-    MemberRecord rec;
-    rec.node = r.u32();
-    rec.pubkey = r.bytes();
-    rec.sealed_ticket = r.bytes();
-    rec.valid_until = r.u64();
+  for (auto& [cid, rec] : snapshot.members)
     rec.last_heard = now;  // grace period after takeover
-    members_[cid] = std::move(rec);
-  }
-  r.expect_done();
-  if (parent != kNoAc) {
-    const AcInfo* info = directory_.find(parent);
-    uplink_ = Uplink{.seat = AreaSeat(
-                         parent, info != nullptr ? info->node : net::kNoNode,
-                         0, now)};
+  members_ = std::move(snapshot.members);
+  if (snapshot.parent != kNoAc) {
+    const AcInfo* info = directory_.find(snapshot.parent);
+    uplink_ = Uplink{.seat = AreaSeat(snapshot.parent,
+                                      info != nullptr ? info->node
+                                                      : net::kNoNode,
+                                      0, now)};
   } else {
     uplink_.reset();
   }
@@ -1116,9 +1094,7 @@ void AreaController::handle_state_sync(const net::Message& msg,
 
   if (!got_snapshot_) {
     // First sync: learn the area group and listen in silently.
-    WireReader sr(snapshot);
-    net::GroupId group = sr.u32();
-    network().join_group(group, id());
+    network().join_group(decode<AreaSnapshot>(snapshot).area_group, id());
     got_snapshot_ = true;
   }
   if (their_takeover > takeover_epoch_) takeover_epoch_ = their_takeover;
@@ -1159,7 +1135,7 @@ void AreaController::promote_to_primary() {
   role_ = Role::kPrimary;
   ++takeover_epoch_;  // later promotion outranks the displaced primary
   ++timer_gen_;       // silence the backup watchdog chain
-  load_snapshot(latest_snapshot_);
+  load_snapshot(decode<AreaSnapshot>(latest_snapshot_));
   open_ = true;
   last_area_tx_ = network().now();
   start_primary_timers();
@@ -1249,79 +1225,41 @@ void AreaController::demote_to_backup(net::NodeId new_primary) {
 
 // ------------------------------------------------- checkpoint (DESIGN 14.4)
 
-Bytes AreaController::checkpoint_state() const {
-  WireWriter w;
-  w.u8(role_ == Role::kPrimary ? 0 : 1);
-  w.u8(open_ ? 1 : 0);
-  w.u64(takeover_epoch_);
-  w.u64(rekey_epoch_);
-  w.u64(sync_version_);
-  w.u64(peer_sync_version_);
-  w.u8(got_snapshot_ ? 1 : 0);
-  w.bytes(latest_snapshot_);
-  w.u32(backup_node_);
-  w.u32(peer_node_);
-  w.bytes(directory_.serialize());
-  w.bytes(latest_map_payload_);
-  w.u64(parent_hint_);
-  w.u32(rs_node_);
-  bool have_state = role_ == Role::kPrimary && tree_.has_value() && open_;
-  w.u8(have_state ? 1 : 0);
-  if (have_state) w.bytes(make_snapshot());
-  w.u32(static_cast<std::uint32_t>(departed_tickets_.size()));
-  for (const auto& [cid, ticket] : departed_tickets_) {
-    w.u64(cid);
-    w.bytes(ticket);
-  }
-  return w.take();
+AcState AreaController::checkpoint_state() const {
+  std::optional<AreaSnapshot> snapshot;
+  if (role_ == Role::kPrimary && tree_.has_value() && open_)
+    snapshot = decode<AreaSnapshot>(replication_snapshot());
+  return {.role = role_, .open = open_, .takeover_epoch = takeover_epoch_,
+          .rekey_epoch = rekey_epoch_, .sync_version = sync_version_,
+          .peer_sync_version = peer_sync_version_,
+          .got_snapshot = got_snapshot_, .latest_snapshot = latest_snapshot_,
+          .backup_node = backup_node_, .peer_node = peer_node_,
+          .directory = directory_, .latest_map_payload = latest_map_payload_,
+          .parent_hint = parent_hint_, .rs_node = rs_node_,
+          .snapshot = std::move(snapshot),
+          .departed_tickets = departed_tickets_};
 }
 
-void AreaController::restore_state(ByteView blob) {
-  WireReader r(blob);
-  Role role = r.u8() == 0 ? Role::kPrimary : Role::kBackup;
-  bool open = r.u8() != 0;
-  std::uint64_t takeover_epoch = r.u64();
-  std::uint64_t rekey_epoch = r.u64();
-  std::uint64_t sync_version = r.u64();
-  std::uint64_t peer_sync_version = r.u64();
-  bool got_snapshot = r.u8() != 0;
-  Bytes latest_snapshot = r.bytes();
-  net::NodeId backup_node = r.u32();
-  net::NodeId peer_node = r.u32();
-  AcDirectory dir = AcDirectory::deserialize(r.bytes());
-  Bytes map_payload = r.bytes();
-  AcId parent_hint = r.u64();
-  net::NodeId rs_node = r.u32();
-  bool have_state = r.u8() != 0;
-  Bytes snapshot;
-  if (have_state) snapshot = r.bytes();
-  std::map<ClientId, Bytes> departed;
-  std::uint32_t n_dep = r.u32();
-  for (std::uint32_t i = 0; i < n_dep; ++i) {
-    ClientId cid = r.u64();
-    departed[cid] = r.bytes();
-  }
-  r.expect_done();
-
+void AreaController::restore_state(AcState s) {
   // The checkpoint is authoritative: wipe construction/session residue.
   // State is restored semantically, not bit-for-bit — the ARQ endpoint and
   // handshake maps start empty (peers re-drive), and the PRNG diverges.
   ++timer_gen_;
   prng_.mix(0x52455354u /* "REST" */);
   net::SimTime now = network().now();
-  role_ = role;
-  takeover_epoch_ = takeover_epoch;
-  sync_version_ = sync_version;
-  peer_sync_version_ = peer_sync_version;
-  got_snapshot_ = got_snapshot;
-  latest_snapshot_ = std::move(latest_snapshot);
-  backup_node_ = backup_node;
-  peer_node_ = peer_node;
-  directory_ = std::move(dir);
-  latest_map_payload_ = std::move(map_payload);
-  parent_hint_ = parent_hint;
-  rs_node_ = rs_node;
-  departed_tickets_ = std::move(departed);
+  role_ = s.role;
+  takeover_epoch_ = s.takeover_epoch;
+  sync_version_ = s.sync_version;
+  peer_sync_version_ = s.peer_sync_version;
+  got_snapshot_ = s.got_snapshot;
+  latest_snapshot_ = std::move(s.latest_snapshot);
+  backup_node_ = s.backup_node;
+  peer_node_ = s.peer_node;
+  directory_ = std::move(s.directory);
+  latest_map_payload_ = std::move(s.latest_map_payload);
+  parent_hint_ = s.parent_hint;
+  rs_node_ = s.rs_node;
+  departed_tickets_ = std::move(s.departed_tickets);
   migrate_target_ = kNoAc;
   migrate_quota_ = 0;
   pending_joins_.clear();
@@ -1335,13 +1273,13 @@ void AreaController::restore_state(ByteView blob) {
   prev_area_key_.reset();
   last_redirect_.clear();
   takeover_trace_ = {};
-  rekey_epoch_ = rekey_epoch;
+  rekey_epoch_ = s.rekey_epoch;
 
   if (role_ == Role::kPrimary) {
-    open_ = open;
-    if (have_state) {
-      load_snapshot(snapshot);     // tree, roster, area group, uplink stub
-      rekey_epoch_ = rekey_epoch;  // load_snapshot re-read the same value
+    open_ = s.open;
+    if (s.snapshot) {
+      load_snapshot(std::move(*s.snapshot));  // tree, roster, group, uplink
+      rekey_epoch_ = s.rekey_epoch;  // load_snapshot read the same value
       // If a takeover made the construction-time backup instance the
       // captured primary, it never ran open_area — subscribe now (raw
       // join_group is duplicate-safe for everyone else).
@@ -1370,8 +1308,8 @@ void AreaController::restore_state(ByteView blob) {
     backup_node_ = net::kNoNode;
     if (got_snapshot_ && !latest_snapshot_.empty()) {
       // Re-subscribe to the area group we were silently shadowing.
-      WireReader sr(latest_snapshot_);
-      network().join_group(sr.u32(), id());
+      network().join_group(decode<AreaSnapshot>(latest_snapshot_).area_group,
+                           id());
     }
     last_heartbeat_rx_ = now;  // grace before the takeover watchdog
     if (config_.enable_timers)

@@ -35,6 +35,7 @@
 #include "mykil/config.h"
 #include "mykil/directory.h"
 #include "mykil/messages.h"
+#include "mykil/records.h"
 #include "mykil/ticket.h"
 #include "net/arq.h"
 #include "net/network.h"
@@ -43,7 +44,7 @@ namespace mykil::core {
 
 class AreaController : public net::Node {
  public:
-  enum class Role : std::uint8_t { kPrimary, kBackup };
+  using Role = AcRole;
 
   AreaController(AcId ac_id, MykilConfig config, crypto::RsaKeyPair keypair,
                  crypto::SymmetricKey k_shared, crypto::RsaPublicKey rs_pub,
@@ -120,8 +121,8 @@ class AreaController : public net::Node {
   [[nodiscard]] std::uint64_t rekey_epoch() const { return rekey_epoch_; }
   /// Bumped on every promotion; the split-brain tie-breaker (DESIGN.md 9.3).
   [[nodiscard]] std::uint64_t takeover_epoch() const { return takeover_epoch_; }
-  /// Current replicable state (what sync_backup would send). Test support.
-  [[nodiscard]] Bytes replication_snapshot() const { return make_snapshot(); }
+  /// Current replicable state: the AreaSnapshot record sync_backup sends.
+  [[nodiscard]] Bytes replication_snapshot() const;
   /// Backup role: the most recent snapshot received from the primary.
   [[nodiscard]] const Bytes& last_synced_snapshot() const {
     return latest_snapshot_;
@@ -131,8 +132,8 @@ class AreaController : public net::Node {
   /// Checkpoint the full controller state (role, epochs, directory, tree +
   /// roster via the replication snapshot, departed tickets). See
   /// mykil/checkpoint.h for the restore contract.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
+  [[nodiscard]] AcState checkpoint_state() const;
+  void restore_state(AcState state);
 
   struct Counters {
     std::uint64_t joins = 0;
@@ -149,20 +150,6 @@ class AreaController : public net::Node {
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
  private:
-  struct MemberRecord {
-    net::NodeId node = net::kNoNode;
-    Bytes pubkey;         ///< serialized RsaPublicKey
-    Bytes sealed_ticket;  ///< last ticket issued to this member
-    net::SimTime last_heard = 0;
-    net::SimTime valid_until = 0;
-    /// Rate limit on key-recovery answers (each costs a pk encryption).
-    net::SimTime last_recovery_reply = 0;
-    /// Non-zero while a migrate directive is outstanding for this member:
-    /// a rejoin cohort check arriving before this deadline is answered
-    /// gone=true even though the member is still heard (it is leaving on
-    /// OUR instruction, not sharing its ticket).
-    net::SimTime migrate_until = 0;
-  };
   struct PendingRejoin {  ///< step 1/2 done, awaiting step 3
     net::NodeId client_node = net::kNoNode;
     ClientId claimed_nic = 0;
@@ -234,8 +221,8 @@ class AreaController : public net::Node {
   void admit_rejoin(const AwaitingCohortCheck& s);
   void deny_rejoin(const AwaitingCohortCheck& s);
   void sync_backup();
-  [[nodiscard]] Bytes make_snapshot() const;
-  void load_snapshot(ByteView snapshot);
+  /// Take over the area a snapshot describes: tree, roster, group, uplink.
+  void load_snapshot(AreaSnapshot snapshot);
   void promote_to_primary();
   /// Step down after losing the split-brain tie-break (DESIGN.md 9.3).
   void demote_to_backup(net::NodeId new_primary);
@@ -281,7 +268,7 @@ class AreaController : public net::Node {
   bool open_ = false;
   AcDirectory directory_;
 
-  std::map<ClientId, MemberRecord> members_;
+  std::map<ClientId, AreaMember> members_;
   std::map<ClientId, Bytes> departed_tickets_;  ///< for rejoin confirmations
   /// RS introductions (step 4) awaiting the client's step 6, by Nonce_AC+2.
   std::map<std::uint64_t, JoinStep4> pending_joins_;

@@ -2,67 +2,67 @@
 
 #include "common/error.h"
 #include "crypto/sha256.h"
+#include "lkh/key_tree.h"
 
 namespace mykil::core {
 
 namespace {
 
-constexpr char kMagic[8] = {'M', 'Y', 'K', 'I', 'L', 'C', 'K', '1'};
+/// The formats an AC's record carries as bytes, checked before anything
+/// changes: a restore that failed half-way would leave a mixed deployment.
+void check_nested(const AcState& s) {
+  if (s.snapshot)
+    (void)lkh::KeyTree::deserialize(s.snapshot->tree, crypto::Prng(0));
+  if (s.got_snapshot && !s.latest_snapshot.empty())
+    (void)decode<AreaSnapshot>(s.latest_snapshot);
+}
 
 }  // namespace
 
 Bytes capture_checkpoint(MykilGroup& group,
                          const std::vector<Member*>& members) {
-  WireWriter w;
-  w.raw(ByteView(reinterpret_cast<const std::uint8_t*>(kMagic),
-                 sizeof(kMagic)));
-  w.u64(group.options().seed);
-  w.u32(static_cast<std::uint32_t>(group.area_count()));
-  w.u32(static_cast<std::uint32_t>(members.size()));
-  w.u8(group.options().with_backups ? 1 : 0);
-  w.u64(group.network().now());
-
-  w.bytes(group.rs().checkpoint_state());
+  Checkpoint ck;
+  ck.header = {.seed = group.options().seed,
+               .area_count = static_cast<std::uint32_t>(group.area_count()),
+               .member_count = static_cast<std::uint32_t>(members.size()),
+               .with_backups = group.options().with_backups,
+               .captured_at = group.network().now()};
+  ck.rs = group.rs().checkpoint_state();
   for (std::size_t i = 0; i < group.area_count(); ++i) {
-    w.bytes(group.ac(i).checkpoint_state());
-    if (AreaController* b = group.backup(i)) {
-      w.u8(1);
-      w.bytes(b->checkpoint_state());
-    } else {
-      w.u8(0);
-    }
+    AreaCheckpoint& area = ck.areas.emplace_back();
+    area.primary = group.ac(i).checkpoint_state();
+    if (AreaController* b = group.backup(i))
+      area.backup = b->checkpoint_state();
   }
-  for (Member* m : members) {
-    w.u64(m->client_id());
-    w.bytes(m->checkpoint_state());
-  }
-  return w.take();
+  for (Member* m : members)
+    ck.members.push_back({m->client_id(), m->checkpoint_state()});
+  return encode(ck);
 }
 
 CheckpointHeader read_checkpoint_header(ByteView blob) {
-  WireReader r(blob);
-  Bytes magic = r.raw(sizeof(kMagic));
-  if (!std::equal(magic.begin(), magic.end(),
-                  reinterpret_cast<const std::uint8_t*>(kMagic)))
-    throw ProtocolError("not a Mykil checkpoint (bad magic)");
-  CheckpointHeader h;
-  h.seed = r.u64();
-  h.area_count = r.u32();
-  h.member_count = r.u32();
-  h.with_backups = r.u8() != 0;
-  h.captured_at = r.u64();
-  return h;
+  return decode<Checkpoint>(blob).header;
 }
 
 void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
                         ByteView blob) {
-  CheckpointHeader h = read_checkpoint_header(blob);
+  Checkpoint ck = decode<Checkpoint>(blob);
+  const CheckpointHeader& h = ck.header;
   if (h.seed != group.options().seed)
     throw ProtocolError("checkpoint seed does not match the deployment");
   if (h.area_count != group.area_count() || h.member_count != members.size())
     throw ProtocolError("checkpoint shape does not match the deployment");
   if (h.with_backups != group.options().with_backups)
     throw ProtocolError("checkpoint replication mode mismatch");
+  for (std::size_t i = 0; i < group.area_count(); ++i) {
+    const AreaCheckpoint& area = ck.areas[i];
+    if (area.backup.has_value() != (group.backup(i) != nullptr))
+      throw ProtocolError("checkpoint backup layout mismatch");
+    check_nested(area.primary);
+    if (area.backup) check_nested(*area.backup);
+  }
+  for (std::size_t i = 0; i < members.size(); ++i)
+    if (ck.members[i].client_id != members[i]->client_id())
+      throw ProtocolError("checkpoint member order mismatch");
 
   // Advance the fresh simulation to the capture time so every restored
   // timestamp (ticket validity, ts-window checks) stays in the past where
@@ -70,33 +70,17 @@ void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
   if (group.network().now() < h.captured_at)
     group.network().run_until(h.captured_at);
 
-  WireReader r(blob);
-  (void)r.raw(sizeof(kMagic));
-  (void)r.u64();  // seed
-  (void)r.u32();  // areas
-  (void)r.u32();  // members
-  (void)r.u8();   // with_backups
-  (void)r.u64();  // captured_at
-
   // Order matters: the RS first (ACs may immediately report load against
   // the restored directory), then AC pairs (primary before backup, so the
   // first post-restore state-sync lands on a restored peer), then members.
-  group.rs().restore_state(r.bytes());
+  group.rs().restore_state(std::move(ck.rs));
   for (std::size_t i = 0; i < group.area_count(); ++i) {
-    group.ac(i).restore_state(r.bytes());
-    bool has_backup = r.u8() != 0;
-    AreaController* b = group.backup(i);
-    if (has_backup != (b != nullptr))
-      throw ProtocolError("checkpoint backup layout mismatch");
-    if (has_backup) b->restore_state(r.bytes());
+    AreaCheckpoint& area = ck.areas[i];
+    group.ac(i).restore_state(std::move(area.primary));
+    if (area.backup) group.backup(i)->restore_state(std::move(*area.backup));
   }
-  for (std::size_t i = 0; i < members.size(); ++i) {
-    ClientId cid = r.u64();
-    if (cid != members[i]->client_id())
-      throw ProtocolError("checkpoint member order mismatch");
-    members[i]->restore_state(r.bytes());
-  }
-  r.expect_done();
+  for (std::size_t i = 0; i < members.size(); ++i)
+    members[i]->restore_state(std::move(ck.members[i].state));
 }
 
 Bytes semantic_digest(MykilGroup& group, const std::vector<Member*>& members) {

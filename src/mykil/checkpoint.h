@@ -16,30 +16,25 @@
 
 #include "mykil/group.h"
 #include "mykil/member.h"
+#include "mykil/records.h"
 
 namespace mykil::core {
 
-/// Parsed checkpoint header (shape of the captured deployment).
-struct CheckpointHeader {
-  std::uint64_t seed = 0;
-  std::uint32_t area_count = 0;  ///< construction areas, spares included
-  std::uint32_t member_count = 0;
-  bool with_backups = false;
-  net::SimTime captured_at = 0;
-};
-
-/// Serialize the full deployment: RS, every AC pair (spares included),
-/// and `members` (in the order they were created).
+/// Serialize the full deployment as a Checkpoint record: RS, every AC pair
+/// (spares included), and `members` (in the order they were created).
 [[nodiscard]] Bytes capture_checkpoint(MykilGroup& group,
                                        const std::vector<Member*>& members);
 
-/// Parse and validate just the header (e.g. to rebuild the right shape
-/// before restoring). Throws ProtocolError on a bad magic.
+/// Decode a checkpoint and return its header (e.g. to rebuild the right
+/// shape before restoring). Throws ProtocolError on a bad magic and
+/// WireError on a malformed blob.
 [[nodiscard]] CheckpointHeader read_checkpoint_header(ByteView blob);
 
 /// Overlay a captured snapshot onto a freshly constructed deployment of
-/// the same seed and shape. Advances the fresh network's clock to the
-/// capture time first. Throws ProtocolError on any shape mismatch.
+/// the same seed and shape. All or nothing: the blob is decoded and checked
+/// against the deployment (seed, counts, backup layout, member order, each
+/// key tree) before the clock advances to the capture time and any node
+/// changes. Throws ProtocolError on a mismatch, WireError on a bad blob.
 void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
                         ByteView blob);
 

@@ -1,7 +1,6 @@
 #include "mykil/directory.h"
 
 #include "common/error.h"
-#include "common/wire.h"
 #include "crypto/sealed.h"
 
 namespace mykil::core {
@@ -73,38 +72,9 @@ bool AcDirectory::adopt(const AcDirectory& fresh) {
   return true;
 }
 
-Bytes AcDirectory::serialize() const {
-  WireWriter w;
-  w.u64(version_);
-  w.u32(static_cast<std::uint32_t>(entries_.size()));
-  for (const AcInfo& e : entries_) {
-    w.u64(e.ac_id);
-    w.u32(e.node);
-    w.u32(e.group);
-    w.bytes(e.pubkey);
-    w.u32(e.backup_node);
-    w.bytes(e.backup_pubkey);
-  }
-  return w.take();
-}
-
-AcDirectory AcDirectory::deserialize(ByteView data) {
-  WireReader r(data);
-  AcDirectory dir;
-  dir.version_ = r.u64();
-  std::uint32_t n = r.u32();
-  for (std::uint32_t i = 0; i < n; ++i) {
-    AcInfo e;
-    e.ac_id = r.u64();
-    e.node = r.u32();
-    e.group = r.u32();
-    e.pubkey = r.bytes();
-    e.backup_node = r.u32();
-    e.backup_pubkey = r.bytes();
-    dir.add(std::move(e));
-  }
-  r.expect_done();
-  return dir;
+void AcDirectory::validate() const {
+  for (const AcInfo& e : entries_)
+    if (find(e.ac_id) != &e) throw ProtocolError("duplicate AC id in directory");
 }
 
 }  // namespace mykil::core

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "common/bytes.h"
 #include "crypto/rsa.h"
+#include "mykil/schema.h"
 #include "mykil/ticket.h"
 #include "net/message.h"
 
@@ -31,6 +31,7 @@ struct AcInfo {
   Bytes pubkey;  ///< serialized RsaPublicKey of the (current) primary
   net::NodeId backup_node = net::kNoNode;
   Bytes backup_pubkey;  ///< empty if unreplicated
+  MYKIL_FIELDS(ac_id, node, group, pubkey, backup_node, backup_pubkey)
 
   [[nodiscard]] bool has_backup() const { return backup_node != net::kNoNode; }
 };
@@ -68,12 +69,14 @@ class AcDirectory {
   /// key registered for `ac_id`.
   [[nodiscard]] bool verify(AcId ac_id, ByteView data, ByteView sig) const;
 
-  [[nodiscard]] Bytes serialize() const;
-  static AcDirectory deserialize(ByteView data);
+  /// The wire form: version, then the entries. A decoded directory passes
+  /// add()'s check: no AC id twice.
+  MYKIL_RECORD(version_, entries_)
+  void validate() const;
 
  private:
-  std::vector<AcInfo> entries_;
   std::uint64_t version_ = 0;
+  std::vector<AcInfo> entries_;
 };
 
 }  // namespace mykil::core

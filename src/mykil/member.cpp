@@ -521,57 +521,39 @@ void Member::on_timer(std::uint64_t token) {
 
 // ------------------------------------------------ checkpoint (DESIGN 14.4)
 
-Bytes Member::checkpoint_state() const {
-  WireWriter w;
-  std::uint8_t phase = 0;  // idle
-  if (joined_)
-    phase = 1;
-  else if (join_in_progress_)
-    phase = 2;
-  else if (rejoin_in_progress_)
-    phase = 3;
-  w.u8(phase);
-  w.u32(rs_node_);
-  w.u64(requested_duration_);
-  w.u64(seat_.ac_id());
-  w.u32(seat_.node());
-  w.u32(seat_.group());
-  w.u64(seat_.epoch());
-  w.u64(rejoin_target_);
-  w.bytes(sealed_ticket_);
-  w.bytes(directory_.serialize());
-  w.bytes(seat_.keys().serialize());
-  w.u64(watchdog_rejoins_);
-  w.u64(key_recoveries_);
-  w.u64(migrations_);
-  return w.take();
+MemberState Member::checkpoint_state() const {
+  MemberPhase phase = joined_              ? MemberPhase::kJoined
+                      : join_in_progress_   ? MemberPhase::kJoining
+                      : rejoin_in_progress_ ? MemberPhase::kRejoining
+                                            : MemberPhase::kIdle;
+  return {.phase = phase, .rs_node = rs_node_,
+          .requested_duration = requested_duration_, .ac = seat_.ac_id(),
+          .ac_node = seat_.node(), .area_group = seat_.group(),
+          .area_epoch = seat_.epoch(), .rejoin_target = rejoin_target_,
+          .sealed_ticket = sealed_ticket_, .directory = directory_,
+          .keys = seat_.keys(), .watchdog_rejoins = watchdog_rejoins_,
+          .key_recoveries = key_recoveries_, .migrations = migrations_};
 }
 
-void Member::restore_state(ByteView blob) {
-  WireReader r(blob);
-  std::uint8_t phase = r.u8();
-  rs_node_ = r.u32();
-  requested_duration_ = r.u64();
-  AcId ac = r.u64();
-  net::NodeId ac_node = r.u32();
-  net::GroupId area_group = r.u32();
-  std::uint64_t area_epoch = r.u64();
-  rejoin_target_ = r.u64();
-  sealed_ticket_ = r.bytes();
-  directory_ = AcDirectory::deserialize(r.bytes());
-  seat_ = AreaSeat(ac, ac_node, area_group, area_epoch,
-                   lkh::MemberKeyState::deserialize(r.bytes()));
-  watchdog_rejoins_ = r.u64();
-  key_recoveries_ = r.u64();
-  migrations_ = r.u64();
-  r.expect_done();
+void Member::restore_state(MemberState s) {
+  MemberPhase phase = s.phase;
+  rs_node_ = s.rs_node;
+  requested_duration_ = s.requested_duration;
+  rejoin_target_ = s.rejoin_target;
+  sealed_ticket_ = std::move(s.sealed_ticket);
+  directory_ = std::move(s.directory);
+  seat_ = AreaSeat(s.ac, s.ac_node, s.area_group, s.area_epoch,
+                   std::move(s.keys));
+  watchdog_rejoins_ = s.watchdog_rejoins;
+  key_recoveries_ = s.key_recoveries;
+  migrations_ = s.migrations;
 
   // In-flight handshakes are NOT resumed: their nonces died with the peer's
   // volatile state. A member captured mid-join/mid-rejoin restarts the
   // exchange from scratch — same convergence, fresh randomness.
   ++timer_gen_;
   prng_.mix(0x52455354u);
-  joined_ = (phase == 1);
+  joined_ = (phase == MemberPhase::kJoined);
   join_in_progress_ = false;
   rejoin_in_progress_ = false;
   join_backoff_until_ = 0;
@@ -584,15 +566,15 @@ void Member::restore_state(ByteView blob) {
   if (joined_ && directory_.find(seat_.ac_id()) == nullptr) {
     // Captured after a merge retired our area but before we acted on it.
     joined_ = false;
-    phase = 3;
+    phase = MemberPhase::kRejoining;
     if (!directory_.entries().empty())
       rejoin_target_ = directory_.entries().front().ac_id;
   }
   if (joined_) network().join_group(seat_.group(), id());
   start_timers();
-  if (phase == 2) {
+  if (phase == MemberPhase::kJoining) {
     join(rs_node_, requested_duration_);
-  } else if (phase == 3 && !sealed_ticket_.empty() &&
+  } else if (phase == MemberPhase::kRejoining && !sealed_ticket_.empty() &&
              directory_.find(rejoin_target_) != nullptr) {
     rejoin(rejoin_target_);
   }

@@ -24,6 +24,7 @@
 #include "mykil/area_seat.h"
 #include "mykil/config.h"
 #include "mykil/directory.h"
+#include "mykil/records.h"
 #include "mykil/ticket.h"
 #include "mykil/wire.h"
 #include "net/arq.h"
@@ -107,8 +108,8 @@ class Member : public net::Node {
   /// Checkpoint the member's dynamic protocol state (membership, ticket,
   /// directory, held keys). Key material itself re-derives from seeded
   /// construction on restore; see mykil/checkpoint.h.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
+  [[nodiscard]] MemberState checkpoint_state() const;
+  void restore_state(MemberState state);
 
   /// Simulate a malicious cohort: copy this member's credentials (ticket +
   /// keypair) into another Member instance. Test-support API.

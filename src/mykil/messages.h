@@ -7,21 +7,18 @@
 //   wrap(JoinStep6{...}, ac_pub, prng_)       encode, MAC, seal, envelope
 //   unwrap<JoinStep6>(env, keypair_.priv)     decrypt, strip MAC, decode
 // unwrap checks no signature: each handler keeps its own order of
-// signature, decryption and freshness checks.
+// signature, decryption and freshness checks. The field codec is schema.h's.
 #pragma once
 
 #include <cstdint>
-#include <tuple>
-#include <type_traits>
-#include <utility>
 #include <variant>
-#include <vector>
 
 #include "common/error.h"
 #include "crypto/prng.h"
 #include "crypto/sealed.h"
 #include "lkh/rekey.h"
 #include "mykil/directory.h"
+#include "mykil/schema.h"
 #include "mykil/wire.h"
 
 namespace mykil::core {
@@ -51,23 +48,11 @@ constexpr bool is_in_clear(Protection p) {
   return p != Protection::kShared && !is_sealed(p);
 }
 
-/// Declares a record's ordered wire fields.
-#define MYKIL_FIELDS(...)                                \
-  auto fields() { return std::tie(__VA_ARGS__); }        \
-  auto fields() const { return std::tie(__VA_ARGS__); }
 /// Declares a message: its MsgType, its Protection, its ordered fields.
 #define MYKIL_MESSAGE(type, protection, ...)                         \
   static constexpr MsgType kType = MsgType::type;                    \
   static constexpr Protection kProtection = Protection::protection;  \
   MYKIL_FIELDS(__VA_ARGS__)
-
-/// A nested format that fills the rest of the body: no length prefix.
-template <typename T>
-struct Bare {
-  T value;
-};
-
-using KeyPath = std::vector<lkh::PathKey>;
 
 // Join, Fig. 3.
 
@@ -237,7 +222,7 @@ struct LeaveRequest {  // member -> AC
 struct StateSync {  // primary -> backup
   std::uint64_t version = 0;
   std::uint64_t takeover_epoch = 0;
-  Bytes snapshot;
+  Bytes snapshot;  ///< an encoded AreaSnapshot (records.h), kept as received
   MYKIL_MESSAGE(kStateSync, kShared, version, takeover_epoch, snapshot)
 };
 
@@ -325,16 +310,11 @@ struct JoinShed {  // RS -> client: advisory, so unsigned
   X(KeyRecoveryReply) X(StateSyncRequest) X(AreaMapUpdate) X(LoadReport)    \
   X(MigrateRequest) X(MigrateDirective) X(JoinShed)
 
-template <typename... M>
-struct TypeList {};
+using Messages = MYKIL_TYPE_LIST(MYKIL_MESSAGES);
 
 namespace schema {
 
-template <typename... A, typename... B>  // type-level only, inside decltype
-TypeList<A..., B...> operator+(TypeList<A...>, TypeList<B...>);
-#define MYKIL_APPEND(M) +TypeList<M>{}
-using Messages = decltype(TypeList<>{} MYKIL_MESSAGES(MYKIL_APPEND));
-#undef MYKIL_APPEND
+MYKIL_MESSAGES(MYKIL_LISTED)
 
 // One case per schema entry and no default: a MsgType value without an
 // entry is an unhandled enumerator (an error, by the pragma), and a type
@@ -354,122 +334,20 @@ constexpr bool defined(MsgType t) {
 }
 #pragma GCC diagnostic pop
 
-// Nested formats owned by other modules travel as their serialized form.
-inline Bytes nested(const KeyPath& p) { return lkh::serialize_path(p); }
-inline Bytes nested(const AcDirectory& d) { return d.serialize(); }
-inline Bytes nested(const lkh::RekeyMessage& m) { return m.serialize(); }
-inline void read(ByteView b, KeyPath& p) { p = lkh::deserialize_path(b); }
-inline void read(ByteView b, AcDirectory& d) {
-  d = AcDirectory::deserialize(b);
-}
-inline void read(ByteView b, lkh::RekeyMessage& m) {
-  m = lkh::RekeyMessage::deserialize(b);
-}
-
-template <typename F>
-void put(WireWriter& w, const F& f) {
-  if constexpr (std::is_same_v<F, bool>)
-    w.u8(f ? 1 : 0);
-  else if constexpr (std::is_same_v<F, std::uint32_t>)
-    w.u32(f);
-  else if constexpr (std::is_same_v<F, std::uint64_t>)
-    w.u64(f);
-  else if constexpr (std::is_same_v<F, Bytes> || std::is_same_v<F, ByteView>)
-    w.bytes(f);
-  else if constexpr (requires { f.value; })  // Bare<>
-    w.raw(nested(f.value));
-  else if constexpr (requires { f.index(); })  // std::variant
-    std::visit(
-        [&](const auto& alt) {
-          w.u8(static_cast<std::uint8_t>(f.index()));
-          put(w, alt);
-        },
-        f);
-  else if constexpr (requires { f.fields(); })
-    std::apply([&](const auto&... x) { (put(w, x), ...); }, f.fields());
-  else
-    w.bytes(nested(f));
-}
-
-template <typename F>
-void get(WireReader& r, F& f) {
-  if constexpr (std::is_same_v<F, bool>)
-    f = r.u8() != 0;
-  else if constexpr (std::is_same_v<F, std::uint32_t>)
-    f = r.u32();
-  else if constexpr (std::is_same_v<F, std::uint64_t>)
-    f = r.u64();
-  else if constexpr (std::is_same_v<F, Bytes>)
-    f = r.bytes();
-  else if constexpr (std::is_same_v<F, ByteView>)
-    f = r.view();
-  else if constexpr (requires { f.value; })
-    read(r.rest(), f.value);
-  else if constexpr (requires { f.index(); })
-    [&]<std::size_t... I>(std::uint8_t kind, std::index_sequence<I...>) {
-      if (kind >= sizeof...(I)) throw WireError("unknown message kind");
-      ((kind == I ? get(r, f.template emplace<I>()) : void()), ...);
-    }(r.u8(), std::make_index_sequence<std::variant_size_v<F>>{});
-  else if constexpr (requires { f.fields(); })
-    std::apply([&](auto&... x) { (get(r, x), ...); }, f.fields());
-  else
-    read(r.view(), f);
-}
-
-/// Whether any field is a view into the buffer it was decoded from.
-template <typename M>
-constexpr bool has_views = []<typename... F>(std::tuple<F&...>*) {
-  return (std::is_same_v<F, ByteView> || ...);
-}(static_cast<decltype(std::declval<M&>().fields())*>(nullptr));
-
-template <typename M, typename... L>
-constexpr bool check(TypeList<L...>) {
-  static_assert((std::is_same_v<M, L> || ...), "not a schema message");
-  static_assert(!has_views<M> || is_in_clear(M::kProtection),
-                "a decrypted body is a temporary: views into it would dangle");
-  return true;
-}
-
 template <typename M, typename Seal>
 Bytes wrap(const M& m, const crypto::RsaPrivateKey* signer, Seal seal) {
-  check<M>(Messages{});
-  WireWriter fields;
-  put(fields, m);
+  static_assert(!has_views<M> || is_in_clear(M::kProtection),
+                "a decrypted body is a temporary: views into it would dangle");
+  Bytes fields = encode(m);
   if constexpr (has_clear_mac(M::kProtection))
-    return envelope(M::kType, with_mac(fields.data()), signer);
+    return envelope(M::kType, with_mac(fields), signer);
   else if constexpr (is_in_clear(M::kProtection))
-    return envelope(M::kType, fields.data(), signer);
+    return envelope(M::kType, fields, signer);
   else
-    return envelope(M::kType, seal(fields.data()), signer);
+    return envelope(M::kType, seal(fields), signer);
 }
 
 }  // namespace schema
-
-using schema::Messages;
-
-/// The fields of `m`, encoded: no MAC, no envelope.
-template <typename M>
-Bytes encode(const M& m) {
-  schema::check<M>(Messages{});
-  WireWriter w;
-  schema::put(w, m);
-  return w.take();
-}
-
-/// Decode what encode() wrote, trailing bytes rejected. Views in the result
-/// point into `fields`, so a temporary is rejected at compile time.
-template <typename M>
-M decode(ByteView fields) {
-  schema::check<M>(Messages{});
-  WireReader r(fields);
-  M m{};
-  schema::get(r, m);
-  r.expect_done();
-  return m;
-}
-template <typename M>
-  requires schema::has_views<M>
-M decode(Bytes&&) = delete;
 
 // wrap: one overload per protection; signed types take the signer.
 template <typename M>

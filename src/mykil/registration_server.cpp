@@ -28,10 +28,12 @@ RegistrationServer::RegistrationServer(MykilConfig config,
 }
 
 void RegistrationServer::authorize(ClientId client, net::SimDuration duration) {
-  auth_db_[client] = duration;
+  durable_.auth_db[client] = duration;
 }
 
-void RegistrationServer::revoke(ClientId client) { auth_db_.erase(client); }
+void RegistrationServer::revoke(ClientId client) {
+  durable_.auth_db.erase(client);
+}
 
 void RegistrationServer::ensure_arq() {
   if (arq_.bound()) return;
@@ -110,7 +112,7 @@ void RegistrationServer::on_message(const net::Message& raw) {
     }
   } catch (const Error&) {
     // Malformed, unauthentic, or replayed input: drop, never crash.
-    ++rejected_;
+    ++durable_.rejected;
   }
 }
 
@@ -150,7 +152,7 @@ void RegistrationServer::admit_step1(const net::Message& msg,
   // Queue full: shed with a retry-after hint. The reply is a plain unsigned
   // advisory — a cheap datagram under overload, and the worst a forger can
   // do is delay one client's retry by the backoff.
-  ++sheds_;
+  ++durable_.sheds;
   if (m != nullptr) {
     m->counter("rs.sheds").inc();
     m->gauge("rs.admission_queue_depth")
@@ -171,7 +173,7 @@ void RegistrationServer::drain_admission_queue() {
     try {
       handle_step1(p.from, parse_envelope_view(p.payload));
     } catch (const Error&) {
-      ++rejected_;
+      ++durable_.rejected;
     }
   }
   if (auto* m = network().metrics())
@@ -182,9 +184,9 @@ void RegistrationServer::drain_admission_queue() {
 void RegistrationServer::handle_step1(net::NodeId from,
                                       const EnvelopeView& env) {
   auto step = unwrap<JoinStep1>(env, keypair_.priv);
-  auto auth = auth_db_.find(step.client_id);
-  if (auth == auth_db_.end()) {
-    ++rejected_;
+  auto auth = durable_.auth_db.find(step.client_id);
+  if (auth == durable_.auth_db.end()) {
+    ++durable_.rejected;
     return;  // not eligible; silently ignore (no oracle for attackers)
   }
 
@@ -202,26 +204,26 @@ void RegistrationServer::handle_step1(net::NodeId from,
 }
 
 const AcInfo& RegistrationServer::pick_area() {
-  if (directory_.empty())
+  if (durable_.directory.empty())
     throw ProtocolError("registration server has no registered areas");
   // Round-robin ("load balancing"), skipping areas at the configured cap
   // (Section V-A limits areas to "about 5000 members"). If every area is
   // full, fall back to plain round-robin — denial would strand authorized
   // clients.
-  for (std::size_t tries = 0; tries < directory_.size(); ++tries) {
-    const AcInfo& info =
-        directory_.entries()[next_area_ % directory_.size()];
-    ++next_area_;
+  const std::vector<AcInfo>& areas = durable_.directory.entries();
+  for (std::size_t tries = 0; tries < areas.size(); ++tries) {
+    const AcInfo& info = areas[durable_.next_area % areas.size()];
+    ++durable_.next_area;
     if (draining_.contains(info.ac_id)) continue;  // mid-merge: no new members
     if (config_.max_area_members == 0 ||
-        assigned_[info.ac_id] < config_.max_area_members) {
-      ++assigned_[info.ac_id];
+        durable_.assigned[info.ac_id] < config_.max_area_members) {
+      ++durable_.assigned[info.ac_id];
       return info;
     }
   }
-  const AcInfo& info = directory_.entries()[next_area_ % directory_.size()];
-  ++next_area_;
-  ++assigned_[info.ac_id];
+  const AcInfo& info = areas[durable_.next_area % areas.size()];
+  ++durable_.next_area;
+  ++durable_.assigned[info.ac_id];
   return info;
 }
 
@@ -230,7 +232,7 @@ void RegistrationServer::handle_step3(const EnvelopeView& env) {
   auto step = unwrap<JoinStep3>(env, keypair_.priv);
   auto it = pending_.find(step.nonce_wc_plus1);
   if (it == pending_.end()) {
-    ++rejected_;
+    ++durable_.rejected;
     return;  // wrong challenge answer or replay
   }
   Session s = it->second;
@@ -251,10 +253,10 @@ void RegistrationServer::handle_step3(const EnvelopeView& env) {
   send_ctrl(s.client_node, kLabelJoin,
             wrap(JoinStep5{.nonce_ac_plus1 = nonce_ac + 1, .ac_id = area.ac_id,
                            .ac_node = area.node, .ac_pubkey = area.pubkey,
-                           .directory = directory_},
+                           .directory = durable_.directory},
                  crypto::RsaPublicKey::deserialize(s.client_pubkey), prng_,
                  keypair_.priv));
-  ++completed_;
+  ++durable_.completed;
 }
 
 // ------------------------------------------- rebalancing (DESIGN 14.1-14.2)
@@ -265,20 +267,20 @@ void RegistrationServer::handle_load_report(const net::Message& msg,
   net::SimTime now = network().now();
   if (ts + config_.ts_window < now || ts > now + config_.ts_window)
     throw AuthError("load report outside timestamp window");
-  if (!directory_.verify(ac_id, env.box, env.sig))
+  if (!durable_.directory.verify(ac_id, env.box, env.sig))
     throw AuthError("load report signature rejected");
-  const AcInfo* info = directory_.find(ac_id);
+  const AcInfo* info = durable_.directory.find(ac_id);
   if (info == nullptr) return;  // raced a merge removal: stale but harmless
   if (msg.from != info->node && msg.from != info->backup_node)
     throw AuthError("load report from unregistered node");
   // Reports from the backup's address mean a takeover happened that no
   // signed announcement has told us about yet — adopt the new orientation.
   if (msg.from == info->backup_node && info->has_backup())
-    directory_.promote_backup(ac_id);
+    durable_.directory.promote_backup(ac_id);
 
   loads_[ac_id] = {members, rekey_epoch, now};
   // Load reports supersede the join-time estimate for this area.
-  assigned_[ac_id] = members;
+  durable_.assigned[ac_id] = members;
 
   // Completion checks ride on the report that proves them, not on the next
   // rebalance tick, so the latency histogram measures the protocol.
@@ -305,12 +307,12 @@ void RegistrationServer::rebalance() {
     return;  // one reconfiguration at a time
   }
   // Hottest area first: split beats merge when both are possible.
-  if (config_.area_split_threshold > 0 && !spares_.empty()) {
+  if (config_.area_split_threshold > 0 && !durable_.spares.empty()) {
     AcId hot = kNoAc;
     std::size_t hot_members = 0;
     for (const auto& [ac_id, load] : loads_) {
       if (draining_.contains(ac_id)) continue;
-      if (directory_.find(ac_id) == nullptr) continue;
+      if (durable_.directory.find(ac_id) == nullptr) continue;
       if (load.members >= config_.area_split_threshold &&
           load.members > hot_members) {
         hot = ac_id;
@@ -322,8 +324,8 @@ void RegistrationServer::rebalance() {
       return;
     }
   }
-  if (config_.area_merge_threshold > 0 && directory_.size() > 1) {
-    for (AcId cold : dynamic_) {
+  if (config_.area_merge_threshold > 0 && durable_.directory.size() > 1) {
+    for (AcId cold : durable_.dynamic) {
       auto load = loads_.find(cold);
       if (load == loads_.end() || draining_.contains(cold)) continue;
       if (load->second.members <= config_.area_merge_threshold) {
@@ -335,18 +337,18 @@ void RegistrationServer::rebalance() {
 }
 
 void RegistrationServer::start_split(AcId hot, std::size_t members) {
-  AcInfo spare = std::move(spares_.back());
-  spares_.pop_back();
+  AcInfo spare = std::move(durable_.spares.back());
+  durable_.spares.pop_back();
   AcId target = spare.ac_id;
-  directory_.add(std::move(spare));
-  dynamic_.insert(target);
-  assigned_[target] = 0;
+  durable_.directory.add(std::move(spare));
+  durable_.dynamic.insert(target);
+  durable_.assigned[target] = 0;
   reconfig_ = Reconfig{true, hot, target, network().now(), members,
                        members / 2};
-  ++splits_;
+  ++durable_.splits;
   if (auto* m = network().metrics()) m->counter("rs.area_splits").inc();
   broadcast_map_update();
-  const AcInfo* src = directory_.find(hot);
+  const AcInfo* src = durable_.directory.find(hot);
   send_migrate_request(*src, target,
                        static_cast<std::uint32_t>(members / 2));
 }
@@ -355,9 +357,10 @@ void RegistrationServer::start_merge(AcId cold) {
   // Drain into the least-loaded sibling still accepting members.
   AcId target = kNoAc;
   std::size_t target_members = SIZE_MAX;
-  for (const AcInfo& e : directory_.entries()) {
+  for (const AcInfo& e : durable_.directory.entries()) {
     if (e.ac_id == cold || draining_.contains(e.ac_id)) continue;
-    std::size_t m = assigned_.contains(e.ac_id) ? assigned_[e.ac_id] : 0;
+    auto load = durable_.assigned.find(e.ac_id);
+    std::size_t m = load != durable_.assigned.end() ? load->second : 0;
     if (m < target_members) {
       target = e.ac_id;
       target_members = m;
@@ -368,7 +371,7 @@ void RegistrationServer::start_merge(AcId cold) {
   std::size_t members = load == loads_.end() ? 0 : load->second.members;
   draining_.insert(cold);
   reconfig_ = Reconfig{false, cold, target, network().now(), members, 0};
-  const AcInfo* src = directory_.find(cold);
+  const AcInfo* src = durable_.directory.find(cold);
   send_migrate_request(*src, target, 0xFFFFFFFF);
 }
 
@@ -376,7 +379,7 @@ void RegistrationServer::finish_reconfig(bool timed_out) {
   Reconfig r = *reconfig_;
   reconfig_.reset();
   if (timed_out) {
-    ++timeouts_;
+    ++durable_.timeouts;
     if (auto* m = network().metrics()) m->counter("rs.reconfig_timeouts").inc();
     // A timed-out split keeps its new area (it is live and owns members); a
     // timed-out merge simply reopens the source for placement.
@@ -389,33 +392,33 @@ void RegistrationServer::finish_reconfig(bool timed_out) {
   if (r.split) return;  // map already updated at start
   // Merge drained: retire the area from the map and return the pair to the
   // spare pool for a future split.
-  const AcInfo* info = directory_.find(r.source);
+  const AcInfo* info = durable_.directory.find(r.source);
   if (info == nullptr) return;
   AcInfo retired = *info;
-  directory_.remove(r.source);
-  dynamic_.erase(r.source);
+  durable_.directory.remove(r.source);
+  durable_.dynamic.erase(r.source);
   draining_.erase(r.source);
   loads_.erase(r.source);
-  assigned_.erase(r.source);
-  ++merges_;
+  durable_.assigned.erase(r.source);
+  ++durable_.merges;
   if (auto* m = network().metrics()) m->counter("rs.area_merges").inc();
   broadcast_map_update(&retired);
-  spares_.push_back(std::move(retired));
+  durable_.spares.push_back(std::move(retired));
 }
 
 void RegistrationServer::broadcast_map_update(const AcInfo* extra) {
-  directory_.set_version(directory_.version() + 1);
+  durable_.directory.set_version(durable_.directory.version() + 1);
   if (auto* m = network().metrics())
     m->gauge("rs.map_version")
-        .set(static_cast<std::int64_t>(directory_.version()));
+        .set(static_cast<std::int64_t>(durable_.directory.version()));
   Bytes payload = wrap(
-      AreaMapUpdate{.ts = network().now(), .directory = directory_},
+      AreaMapUpdate{.ts = network().now(), .directory = durable_.directory},
       keypair_.priv);
   auto push = [&](const AcInfo& e) {
     send_ctrl(e.node, kLabelAdmin, payload);
     if (e.has_backup()) send_ctrl(e.backup_node, kLabelAdmin, payload);
   };
-  for (const AcInfo& e : directory_.entries()) push(e);
+  for (const AcInfo& e : durable_.directory.entries()) push(e);
   if (extra != nullptr) push(*extra);
 }
 
@@ -430,78 +433,10 @@ void RegistrationServer::send_migrate_request(const AcInfo& src, AcId target,
 
 // ------------------------------------------------ checkpoint (DESIGN 14.4)
 
-Bytes RegistrationServer::checkpoint_state() const {
-  WireWriter w;
-  w.bytes(directory_.serialize());
-  w.u32(static_cast<std::uint32_t>(auth_db_.size()));
-  for (const auto& [client, duration] : auth_db_) {
-    w.u64(client);
-    w.u64(duration);
-  }
-  w.u32(static_cast<std::uint32_t>(assigned_.size()));
-  for (const auto& [ac_id, n] : assigned_) {
-    w.u64(ac_id);
-    w.u64(n);
-  }
-  w.u64(next_area_);
-  w.u64(completed_);
-  w.u64(rejected_);
-  w.u64(sheds_);
-  w.u64(splits_);
-  w.u64(merges_);
-  w.u64(timeouts_);
-  w.u32(static_cast<std::uint32_t>(spares_.size()));
-  for (const AcInfo& s : spares_) {
-    w.u64(s.ac_id);
-    w.u32(s.node);
-    w.u32(s.group);
-    w.bytes(s.pubkey);
-    w.u32(s.backup_node);
-    w.bytes(s.backup_pubkey);
-  }
-  w.u32(static_cast<std::uint32_t>(dynamic_.size()));
-  for (AcId a : dynamic_) w.u64(a);
-  return w.take();
-}
+RsState RegistrationServer::checkpoint_state() const { return durable_; }
 
-void RegistrationServer::restore_state(ByteView blob) {
-  WireReader r(blob);
-  directory_ = AcDirectory::deserialize(r.bytes());
-  auth_db_.clear();
-  std::uint32_t n_auth = r.u32();
-  for (std::uint32_t i = 0; i < n_auth; ++i) {
-    ClientId client = r.u64();
-    auth_db_[client] = r.u64();
-  }
-  assigned_.clear();
-  std::uint32_t n_assigned = r.u32();
-  for (std::uint32_t i = 0; i < n_assigned; ++i) {
-    AcId ac_id = r.u64();
-    assigned_[ac_id] = r.u64();
-  }
-  next_area_ = r.u64();
-  completed_ = r.u64();
-  rejected_ = r.u64();
-  sheds_ = r.u64();
-  splits_ = r.u64();
-  merges_ = r.u64();
-  timeouts_ = r.u64();
-  spares_.clear();
-  std::uint32_t n_spares = r.u32();
-  for (std::uint32_t i = 0; i < n_spares; ++i) {
-    AcInfo s;
-    s.ac_id = r.u64();
-    s.node = r.u32();
-    s.group = r.u32();
-    s.pubkey = r.bytes();
-    s.backup_node = r.u32();
-    s.backup_pubkey = r.bytes();
-    spares_.push_back(std::move(s));
-  }
-  dynamic_.clear();
-  std::uint32_t n_dyn = r.u32();
-  for (std::uint32_t i = 0; i < n_dyn; ++i) dynamic_.insert(r.u64());
-  r.expect_done();
+void RegistrationServer::restore_state(RsState state) {
+  durable_ = std::move(state);
   // In-flight nonce handshakes, parked step-1 requests, and the one
   // in-flight reconfiguration are dropped: client watchdogs restart joins,
   // and the rebalancer re-detects imbalance from fresh load reports.
@@ -515,7 +450,7 @@ void RegistrationServer::restore_state(ByteView blob) {
   prng_.mix(0x52455354u /* "REST" */);
   if (auto* m = network().metrics())
     m->gauge("rs.map_version")
-        .set(static_cast<std::int64_t>(directory_.version()));
+        .set(static_cast<std::int64_t>(durable_.directory.version()));
 }
 
 }  // namespace mykil::core

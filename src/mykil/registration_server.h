@@ -21,6 +21,7 @@
 #include "crypto/rsa.h"
 #include "mykil/config.h"
 #include "mykil/directory.h"
+#include "mykil/records.h"
 #include "mykil/wire.h"
 #include "net/arq.h"
 #include "net/network.h"
@@ -36,17 +37,21 @@ class RegistrationServer : public net::Node {
   void authorize(ClientId client, net::SimDuration duration);
   void revoke(ClientId client);
   [[nodiscard]] bool is_authorized(ClientId client) const {
-    return auth_db_.contains(client);
+    return durable_.auth_db.contains(client);
   }
 
   /// Register an area controller (and optional backup) in the directory.
-  void register_ac(AcInfo info) { directory_.add(std::move(info)); }
+  void register_ac(AcInfo info) { durable_.directory.add(std::move(info)); }
   /// Register a dormant spare AC: provisioned and reachable but not in the
   /// directory, so it receives no members until a split activates it.
-  void register_spare(AcInfo info) { spares_.push_back(std::move(info)); }
-  [[nodiscard]] const AcDirectory& directory() const { return directory_; }
+  void register_spare(AcInfo info) {
+    durable_.spares.push_back(std::move(info));
+  }
+  [[nodiscard]] const AcDirectory& directory() const {
+    return durable_.directory;
+  }
   /// Local bookkeeping after a takeover announcement reaches the operator.
-  void note_takeover(AcId ac_id) { directory_.promote_backup(ac_id); }
+  void note_takeover(AcId ac_id) { durable_.directory.promote_backup(ac_id); }
 
   /// Arm the admission-drain and rebalance timers (no-ops when the
   /// corresponding config knobs are disabled). Called once after the
@@ -63,30 +68,34 @@ class RegistrationServer : public net::Node {
 
   /// Number of join registrations completed (step 4+5 sent).
   [[nodiscard]] std::uint64_t completed_registrations() const {
-    return completed_;
+    return durable_.completed;
   }
   /// Join attempts rejected (bad auth, bad nonce, replay).
   [[nodiscard]] std::uint64_t rejected_registrations() const {
-    return rejected_;
+    return durable_.rejected;
   }
   /// Step-1 requests turned away with a retry-after reply.
-  [[nodiscard]] std::uint64_t sheds() const { return sheds_; }
+  [[nodiscard]] std::uint64_t sheds() const { return durable_.sheds; }
   [[nodiscard]] std::size_t admission_queue_depth() const {
     return admission_queue_.size();
   }
   [[nodiscard]] std::uint64_t map_version() const {
-    return directory_.version();
+    return durable_.directory.version();
   }
-  [[nodiscard]] std::uint64_t area_splits() const { return splits_; }
-  [[nodiscard]] std::uint64_t area_merges() const { return merges_; }
-  [[nodiscard]] std::uint64_t reconfig_timeouts() const { return timeouts_; }
-  [[nodiscard]] std::size_t spare_count() const { return spares_.size(); }
+  [[nodiscard]] std::uint64_t area_splits() const { return durable_.splits; }
+  [[nodiscard]] std::uint64_t area_merges() const { return durable_.merges; }
+  [[nodiscard]] std::uint64_t reconfig_timeouts() const {
+    return durable_.timeouts;
+  }
+  [[nodiscard]] std::size_t spare_count() const {
+    return durable_.spares.size();
+  }
 
   /// Checkpoint the RS's durable state (directory + auth + load estimates;
   /// in-flight nonce handshakes and the admission queue are dropped — the
   /// clients' watchdogs restart those). See mykil/checkpoint.h.
-  [[nodiscard]] Bytes checkpoint_state() const;
-  void restore_state(ByteView blob);
+  [[nodiscard]] RsState checkpoint_state() const;
+  void restore_state(RsState state);
 
  private:
   struct Session {
@@ -144,36 +153,22 @@ class RegistrationServer : public net::Node {
   MykilConfig config_;
   crypto::RsaKeyPair keypair_;
   crypto::Prng prng_;
-  std::map<ClientId, net::SimDuration> auth_db_;
-  AcDirectory directory_;
-  /// Members assigned per area (the RS's load-balancing estimate, used to
-  /// enforce config.max_area_members).
-  std::map<AcId, std::size_t> assigned_;
+  /// What a checkpoint carries; everything else here is volatile.
+  RsState durable_;
   /// Sessions awaiting step 3, keyed by the expected Nonce_WC + 1.
   std::map<std::uint64_t, Session> pending_;
-  std::size_t next_area_ = 0;
-  std::uint64_t completed_ = 0;
-  std::uint64_t rejected_ = 0;
   net::ArqEndpoint arq_;
 
   // ---- admission control (DESIGN.md 14.3) ----
   double tokens_ = 0;
   net::SimTime last_refill_ = 0;
   std::deque<Parked> admission_queue_;
-  std::uint64_t sheds_ = 0;
 
   // ---- dynamic area management (DESIGN.md 14.1-14.2) ----
   std::map<AcId, AreaLoad> loads_;
-  std::vector<AcInfo> spares_;
-  /// Areas activated from the spare pool (the only merge candidates:
-  /// construction-time areas are never drained away).
-  std::set<AcId> dynamic_;
   /// Merge sources mid-drain — excluded from placement.
   std::set<AcId> draining_;
   std::optional<Reconfig> reconfig_;
-  std::uint64_t splits_ = 0;
-  std::uint64_t merges_ = 0;
-  std::uint64_t timeouts_ = 0;
   bool timers_started_ = false;
   std::uint32_t timer_gen_ = 0;
 };

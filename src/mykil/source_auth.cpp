@@ -1,7 +1,6 @@
 #include "mykil/source_auth.h"
 
 #include "common/error.h"
-#include "common/wire.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
@@ -17,50 +16,6 @@ Bytes mac_key_from_element(ByteView element) {
 }
 
 }  // namespace
-
-Bytes TeslaParams::serialize() const {
-  WireWriter w;
-  w.bytes(anchor);
-  w.u64(start);
-  w.u64(interval);
-  w.u32(disclosure_lag);
-  w.u64(chain_length);
-  return w.take();
-}
-
-TeslaParams TeslaParams::deserialize(ByteView data) {
-  WireReader r(data);
-  TeslaParams p;
-  p.anchor = r.bytes();
-  p.start = r.u64();
-  p.interval = r.u64();
-  p.disclosure_lag = r.u32();
-  p.chain_length = r.u64();
-  r.expect_done();
-  return p;
-}
-
-Bytes TeslaPacket::serialize() const {
-  WireWriter w;
-  w.u32(interval);
-  w.bytes(payload);
-  w.bytes(mac);
-  w.u32(disclosed_index);
-  w.bytes(disclosed_key);
-  return w.take();
-}
-
-TeslaPacket TeslaPacket::deserialize(ByteView data) {
-  WireReader r(data);
-  TeslaPacket p;
-  p.interval = r.u32();
-  p.payload = r.bytes();
-  p.mac = r.bytes();
-  p.disclosed_index = r.u32();
-  p.disclosed_key = r.bytes();
-  r.expect_done();
-  return p;
-}
 
 TeslaSender::TeslaSender(net::SimTime start, net::SimDuration interval,
                          std::uint32_t disclosure_lag,

@@ -30,6 +30,7 @@
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
+#include "mykil/schema.h"
 #include "net/sim_time.h"
 
 namespace mykil::core {
@@ -41,9 +42,7 @@ struct TeslaParams {
   net::SimDuration interval = 0;   ///< interval length
   std::uint32_t disclosure_lag = 2;///< d: key of interval i disclosed in i+d
   std::size_t chain_length = 0;    ///< last usable interval index
-
-  [[nodiscard]] Bytes serialize() const;
-  static TeslaParams deserialize(ByteView data);
+  MYKIL_RECORD(anchor, start, interval, disclosure_lag, chain_length)
 };
 
 /// An authenticated packet on the wire.
@@ -53,9 +52,7 @@ struct TeslaPacket {
   Bytes mac;                        ///< HMAC_{K_i}(payload)
   std::uint32_t disclosed_index = 0;///< j = i - d (0: nothing disclosed yet)
   Bytes disclosed_key;              ///< chain element k_j
-
-  [[nodiscard]] Bytes serialize() const;
-  static TeslaPacket deserialize(ByteView data);
+  MYKIL_RECORD(interval, payload, mac, disclosed_index, disclosed_key)
 };
 
 /// Sender side: owns the chain, stamps packets.

@@ -1,44 +1,22 @@
 #include "mykil/ticket.h"
 
 #include "common/error.h"
-#include "common/wire.h"
 #include "crypto/sealed.h"
+#include "mykil/records.h"
 
 namespace mykil::core {
-
-Bytes Ticket::serialize() const {
-  WireWriter w;
-  w.u64(join_time);
-  w.u64(valid_until);
-  w.u64(member_id);
-  w.bytes(member_pubkey);
-  w.u64(last_ac);
-  return w.take();
-}
-
-Ticket Ticket::deserialize(ByteView data) {
-  WireReader r(data);
-  Ticket t;
-  t.join_time = r.u64();
-  t.valid_until = r.u64();
-  t.member_id = r.u64();
-  t.member_pubkey = r.bytes();
-  t.last_ac = r.u64();
-  r.expect_done();
-  return t;
-}
 
 Bytes seal_ticket(const Ticket& ticket, const crypto::SymmetricKey& k_shared,
                   crypto::Prng& prng) {
   // sym_seal = Speck-CTR + HMAC: the HMAC is the ticket's tamper-evident
   // "bar code"; Speck keeps the NIC id and public key confidential too.
-  return crypto::sym_seal(k_shared.derive("ticket"), ticket.serialize(), prng);
+  return crypto::sym_seal(k_shared.derive("ticket"), encode(ticket), prng);
 }
 
 Ticket open_ticket(ByteView sealed, const crypto::SymmetricKey& k_shared,
                    net::SimTime now) {
   Bytes raw = crypto::sym_open(k_shared.derive("ticket"), sealed);
-  Ticket t = Ticket::deserialize(raw);
+  Ticket t = decode<Ticket>(raw);
   if (now > t.valid_until) throw ProtocolError("ticket expired");
   return t;
 }

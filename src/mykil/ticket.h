@@ -12,6 +12,7 @@
 #include "common/bytes.h"
 #include "crypto/keys.h"
 #include "crypto/prng.h"
+#include "mykil/schema.h"
 #include "net/sim_time.h"
 
 namespace mykil::core {
@@ -33,9 +34,7 @@ struct Ticket {
   ClientId member_id = 0;          ///< NIC MAC stand-in
   Bytes member_pubkey;             ///< serialized RsaPublicKey
   AcId last_ac = 0;                ///< AC of the last area joined
-
-  [[nodiscard]] Bytes serialize() const;
-  static Ticket deserialize(ByteView data);
+  MYKIL_RECORD(join_time, valid_until, member_id, member_pubkey, last_ac)
 
   friend bool operator==(const Ticket&, const Ticket&) = default;
 };

@@ -3,15 +3,21 @@
 // Part 1 — round trip: run a small live deployment, capture it, rebuild an
 // identically-shaped deployment from the same seed, restore, and require
 // the semantic digest (memberships, epochs, key fingerprints, rosters,
-// map version) to come out byte-identical.
+// map version) to come out byte-identical. The blob's size and SHA-256
+// are pinned, and a truncated blob must leave the fresh deployment as it
+// was: restore is all or nothing.
 //
 // Part 2 — resume under fire: a dynamic-area chaos schedule that stops at
 // half time, restores, resumes, and must still converge on every
-// invariant.
+// invariant, with a pinned blob size and digest.
 #include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "common/error.h"
+#include "common/hex.h"
+#include "crypto/sha256.h"
 #include "mykil/checkpoint.h"
 #include "mykil/group.h"
 #include "workload/chaos.h"
@@ -58,6 +64,24 @@ std::vector<core::Member*> ptrs(const Sim& s) {
   return v;
 }
 
+/// Everything a restore may change: the clock, the semantic digest and
+/// every node's checkpoint record.
+Bytes observable_state(Sim& s) {
+  core::MykilGroup& g = *s.group;
+  Bytes out = core::semantic_digest(g, ptrs(s));
+  for (int shift = 56; shift >= 0; shift -= 8)
+    out.push_back(static_cast<std::uint8_t>(s.net->now() >> shift));
+  append(out, core::encode(g.rs().checkpoint_state()));
+  for (std::size_t i = 0; i < g.area_count(); ++i) {
+    append(out, core::encode(g.ac(i).checkpoint_state()));
+    if (core::AreaController* b = g.backup(i))
+      append(out, core::encode(b->checkpoint_state()));
+  }
+  for (core::Member* m : ptrs(s))
+    append(out, core::encode(m->checkpoint_state()));
+  return out;
+}
+
 }  // namespace
 
 int main() {
@@ -78,8 +102,30 @@ int main() {
   core::CheckpointHeader h = core::read_checkpoint_header(blob);
   if (h.seed != 11 || h.member_count != 8)
     return fail("header does not describe the deployment");
+  // The bytes the hand-written writers produced before the record schema.
+  Bytes sha = crypto::Sha256::digest(blob);
+  if (blob.size() != 17877 ||
+      hex_encode(sha) !=
+          "a57875ea10994b8a826e808bc279a3754c5d44cde9f24b9216cd5bf0bed94ea9")
+    return fail("checkpoint bytes changed");
 
   Sim fresh = build(/*join=*/false);
+  // All or nothing: a truncated blob is rejected before the clock moves or
+  // any node changes.
+  const Bytes untouched = observable_state(fresh);
+  std::vector<std::size_t> cuts = {0,  1,  8,  33, 34, 36, blob.size() / 2,
+                                   blob.size() - 200, blob.size() - 1};
+  for (std::size_t k = 1; k < 16; ++k) cuts.push_back(blob.size() * k / 16);
+  for (std::size_t cut : cuts) {
+    try {
+      core::restore_checkpoint(*fresh.group, ptrs(fresh),
+                               ByteView(blob).first(cut));
+      return fail("a truncated checkpoint was restored");
+    } catch (const Error&) {
+    }
+    if (observable_state(fresh) != untouched)
+      return fail("a rejected checkpoint changed the deployment");
+  }
   core::restore_checkpoint(*fresh.group, ptrs(fresh), blob);
   Bytes after = core::semantic_digest(*fresh.group, ptrs(fresh));
   if (before != after) return fail("semantic digest did not round-trip");
@@ -102,8 +148,8 @@ int main() {
     return fail("restored members cannot exchange data");
 
   std::printf("checkpoint_smoke: round trip OK (%zu bytes, digest match, "
-              "data flows)\n",
-              blob.size());
+              "data flows, %zu truncations rejected cleanly)\n",
+              blob.size(), cuts.size());
 
   // ---- part 2: resume under fire ----
   workload::ChaosOptions copt;
@@ -114,6 +160,8 @@ int main() {
   if (!cr.restored) return fail("chaos run never checkpointed");
   if (cr.checkpoint_bytes == 0) return fail("empty checkpoint blob");
   if (!cr.converged()) return fail("restored chaos run did not converge");
+  if (cr.checkpoint_bytes != 52102 || cr.digest != 0x686539055d26f9f1)
+    return fail("chaos checkpoint size or digest changed");
   std::printf("checkpoint_smoke: chaos resume OK (%zu bytes, digest "
               "%016llx)\n",
               cr.checkpoint_bytes,

@@ -248,6 +248,40 @@ TEST(MykilFault, BackupResyncsAfterPartitionHeal) {
   EXPECT_EQ(backup->role(), AreaController::Role::kBackup);
 }
 
+TEST(MykilFault, ReplicationSnapshotDescribesTheController) {
+  // A primary encodes its snapshot straight from its own fields; the
+  // record it decodes to must name them, each in its own place.
+  GroupOptions opts = fast_options();
+  opts.with_backups = true;
+  World w(2, opts);
+  std::vector<std::unique_ptr<Member>> members;
+  for (ClientId c = 1; c <= 4; ++c) {
+    members.push_back(w.group.make_member(c, net::sec(3600)));
+    w.group.join_member(*members.back(), net::sec(3600));
+  }
+  w.group.settle(net::sec(1));
+  AreaController& child = w.group.ac(1);
+  ASSERT_TRUE(child.uplink_ready());
+  ASSERT_GE(child.member_count(), 2u);
+
+  AreaSnapshot snap = decode<AreaSnapshot>(child.replication_snapshot());
+  EXPECT_EQ(snap.area_group, child.area_group());
+  EXPECT_EQ(snap.parent, w.group.ac(0).ac_id());
+  EXPECT_EQ(snap.rekey_epoch, child.rekey_epoch());
+  EXPECT_NE(snap.rekey_epoch, snap.parent);
+  EXPECT_EQ(snap.tree, child.tree().serialize());
+  std::vector<ClientId> ids;
+  for (const auto& [cid, rec] : snap.members) ids.push_back(cid);
+  EXPECT_EQ(ids, child.member_ids());
+  for (const auto& m : members) {
+    if (child.has_member(m->client_id())) {
+      EXPECT_EQ(snap.members.at(m->client_id()).node, m->id());
+    }
+  }
+  EXPECT_EQ(w.group.backup(1)->last_synced_snapshot(),
+            child.replication_snapshot());
+}
+
 TEST(MykilFault, PartitionedPrimaryIsDemotedAndResyncsAfterHeal) {
   // Split brain end to end: the partition starves the backup of heartbeats,
   // it promotes itself, and on heal the displaced primary (lower takeover

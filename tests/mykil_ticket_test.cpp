@@ -4,6 +4,7 @@
 #include "common/error.h"
 #include "mykil/directory.h"
 #include "mykil/messages.h"
+#include "mykil/records.h"
 #include "mykil/ticket.h"
 
 namespace mykil::core {
@@ -26,7 +27,7 @@ Ticket sample_ticket() {
 
 TEST(Ticket, SerializeRoundTrip) {
   Ticket t = sample_ticket();
-  EXPECT_EQ(Ticket::deserialize(t.serialize()), t);
+  EXPECT_EQ(decode<Ticket>(encode(t)), t);
 }
 
 TEST(Ticket, SealOpenRoundTrip) {
@@ -41,7 +42,7 @@ TEST(Ticket, SealedContentsAreOpaque) {
   crypto::Prng prng(1);
   Bytes sealed = seal_ticket(sample_ticket(), test_key(), prng);
   // The NIC id must not appear in the clear.
-  Bytes plain = sample_ticket().serialize();
+  Bytes plain = encode(sample_ticket());
   auto it = std::search(sealed.begin(), sealed.end(), plain.begin(), plain.end());
   EXPECT_EQ(it, sealed.end());
 }
@@ -204,7 +205,7 @@ TEST(Directory, SerializeRoundTrip) {
   b.backup_pubkey = to_bytes("pk-b2");
   dir.add(b);
 
-  AcDirectory back = AcDirectory::deserialize(dir.serialize());
+  AcDirectory back = decode<AcDirectory>(encode(dir));
   EXPECT_EQ(back.size(), 2u);
   EXPECT_EQ(back.find(5)->backup_node, 7u);
   EXPECT_EQ(back.find(1)->pubkey, to_bytes("pk-a"));

@@ -5,6 +5,7 @@
 #include "common/error.h"
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
+#include "mykil/records.h"
 #include "mykil/source_auth.h"
 
 namespace mykil::core {
@@ -67,7 +68,7 @@ struct TeslaRig {
 TEST(Tesla, ParamsRoundTrip) {
   TeslaRig rig;
   TeslaParams p = rig.sender.params();
-  TeslaParams back = TeslaParams::deserialize(p.serialize());
+  TeslaParams back = decode<TeslaParams>(encode(p));
   EXPECT_EQ(back.anchor, p.anchor);
   EXPECT_EQ(back.interval, p.interval);
   EXPECT_EQ(back.disclosure_lag, p.disclosure_lag);
@@ -77,7 +78,7 @@ TEST(Tesla, ParamsRoundTrip) {
 TEST(Tesla, PacketRoundTrip) {
   TeslaRig rig;
   TeslaPacket p = rig.sender.stamp(to_bytes("hello"), net::msec(250));
-  TeslaPacket back = TeslaPacket::deserialize(p.serialize());
+  TeslaPacket back = decode<TeslaPacket>(encode(p));
   EXPECT_EQ(back.interval, p.interval);
   EXPECT_EQ(back.payload, p.payload);
   EXPECT_EQ(back.mac, p.mac);

@@ -1,19 +1,20 @@
-// Deserializer hardening: every parser that consumes network bytes must
-// reject arbitrary garbage with a typed error — never crash, hang, or
-// read out of bounds. Seeded random blobs + targeted mutations of valid
-// encodings; every message in the schema (mykil/messages.h) is covered
-// through its own decoder.
+// Deserializer hardening: every parser that consumes network or checkpoint
+// bytes must reject arbitrary garbage with a typed error — never crash,
+// hang, or read out of bounds. Seeded random blobs + targeted mutations of
+// valid encodings; every message (mykil/messages.h) and every record
+// (mykil/records.h) is covered through its own decoder.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
 #include "crypto/prng.h"
+#include "lkh/key_tree.h"
 #include "lkh/member_state.h"
 #include "lkh/rekey.h"
 #include "mykil/checkpoint.h"
-#include "mykil/directory.h"
-#include "mykil/ticket.h"
+#include "mykil/records.h"
 #include "mykil/wire.h"
 #include "net/arq.h"
+#include "record_samples.h"
 #include "wire_samples.h"
 
 namespace mykil {
@@ -36,15 +37,18 @@ void fuzz(F parse, std::uint64_t seed, int rounds = 300) {
   }
 }
 
-/// Mutates each byte of a valid encoding and re-parses.
+/// Flips each byte of a valid encoding (all bits, then the low bit) and
+/// re-parses.
 template <typename F>
 void mutate(F parse, const Bytes& valid) {
-  for (std::size_t i = 0; i < valid.size(); ++i) {
-    Bytes mutated = valid;
-    mutated[i] ^= 0xFF;
-    try {
-      parse(mutated);
-    } catch (const Error&) {
+  for (std::uint8_t flip : {0xFF, 0x01}) {
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+      Bytes mutated = valid;
+      mutated[i] ^= flip;
+      try {
+        parse(mutated);
+      } catch (const Error&) {
+      }
     }
   }
   // Truncations at every length.
@@ -90,7 +94,7 @@ TEST(WireFuzz, PathSurvivesGarbageAndMutation) {
 }
 
 TEST(WireFuzz, TicketSurvivesGarbage) {
-  fuzz([](const Bytes& b) { core::Ticket::deserialize(b); }, 103);
+  fuzz([](const Bytes& b) { core::decode<core::Ticket>(b); }, 103);
 }
 
 TEST(WireFuzz, SealedTicketSurvivesGarbage) {
@@ -100,7 +104,7 @@ TEST(WireFuzz, SealedTicketSurvivesGarbage) {
 }
 
 TEST(WireFuzz, DirectorySurvivesGarbageAndMutation) {
-  fuzz([](const Bytes& b) { core::AcDirectory::deserialize(b); }, 105);
+  fuzz([](const Bytes& b) { core::decode<core::AcDirectory>(b); }, 105);
   core::AcDirectory dir;
   core::AcInfo a;
   a.ac_id = 1;
@@ -108,8 +112,18 @@ TEST(WireFuzz, DirectorySurvivesGarbageAndMutation) {
   a.group = 3;
   a.pubkey = to_bytes("pk");
   dir.add(a);
-  mutate([](const Bytes& b) { core::AcDirectory::deserialize(b); },
-         dir.serialize());
+  mutate([](const Bytes& b) { core::decode<core::AcDirectory>(b); },
+         core::encode(dir));
+}
+
+TEST(WireFuzz, DirectoryRejectsADuplicateAcId) {
+  core::AcDirectory dir = core::samples::sample_directory();
+  Bytes bytes = core::encode(dir);
+  // The same entry twice: count 2, entry, entry.
+  Bytes entry(bytes.begin() + 12, bytes.end());
+  bytes[11] = 2;
+  bytes.insert(bytes.end(), entry.begin(), entry.end());
+  EXPECT_THROW(core::decode<core::AcDirectory>(bytes), ProtocolError);
 }
 
 TEST(WireFuzz, EnvelopeSurvivesGarbage) {
@@ -166,19 +180,26 @@ TEST(WireFuzz, ArqFrameSurvivesMutationAndTruncation) {
 
 TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
   fuzz([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, 115);
-  // A structurally valid prefix (magic + header fields) with trailing
-  // records; every mutation and truncation must throw, not crash.
-  WireWriter w;
-  const char magic[8] = {'M', 'Y', 'K', 'I', 'L', 'C', 'K', '1'};
-  w.raw(ByteView(reinterpret_cast<const std::uint8_t*>(magic), 8));
-  w.u64(7);    // seed
-  w.u32(3);    // areas
-  w.u32(12);   // members
-  w.u8(1);     // with_backups
-  w.u64(500);  // captured_at
-  w.bytes(to_bytes("rs-state"));
-  mutate([](const Bytes& b) { (void)core::read_checkpoint_header(b); },
-         w.data());
+  // A valid blob of an empty deployment: the header record, an empty RS
+  // record, no areas and no members. Every mutation and truncation must
+  // throw or decode, not crash.
+  core::Checkpoint empty;
+  empty.header = {.seed = 7, .with_backups = true, .captured_at = 500};
+  Bytes valid = core::encode(empty);
+  EXPECT_EQ(core::read_checkpoint_header(valid).seed, 7u);
+  mutate([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, valid);
+  Bytes bad_magic = valid;
+  bad_magic[0] ^= 1;
+  EXPECT_THROW((void)core::read_checkpoint_header(bad_magic), ProtocolError);
+}
+
+TEST(WireFuzz, KeyTreeSnapshotSurvivesMutation) {
+  // The tree travels inside every AreaSnapshot; its node links index the
+  // node array, so a flipped link must be rejected, not followed.
+  lkh::KeyTree tree(lkh::KeyTree::Config{}, Prng(6));
+  for (lkh::MemberId m = 1; m <= 6; ++m) tree.join(m);
+  mutate([](const Bytes& b) { lkh::KeyTree::deserialize(b, Prng(7)); },
+         tree.serialize());
 }
 
 TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {
@@ -189,7 +210,7 @@ TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {
 template <typename M>
 class WireSchema : public ::testing::Test {};
 TYPED_TEST_SUITE(WireSchema, core::samples::SchemaTypes,
-                 core::samples::MessageName);
+                 core::samples::FormatName);
 
 TYPED_TEST(WireSchema, SurvivesGarbage) {
   fuzz([](const Bytes& b) { core::decode<TypeParam>(b); },
@@ -198,11 +219,31 @@ TYPED_TEST(WireSchema, SurvivesGarbage) {
 
 TYPED_TEST(WireSchema, SurvivesFlipsAndTruncations) {
   mutate([](const Bytes& b) { core::decode<TypeParam>(b); },
-         core::encode(core::samples::sample<TypeParam>().msg));
+         core::encode(core::samples::sample<TypeParam>().value));
 }
 
 TYPED_TEST(WireSchema, RoundTripIsExact) {
-  Bytes bytes = core::encode(core::samples::sample<TypeParam>().msg);
+  Bytes bytes = core::encode(core::samples::sample<TypeParam>().value);
+  EXPECT_EQ(core::encode(core::decode<TypeParam>(bytes)), bytes);
+}
+
+template <typename R>
+class StateSchema : public ::testing::Test {};
+TYPED_TEST_SUITE(StateSchema, core::samples::RecordTypes,
+                 core::samples::FormatName);
+
+TYPED_TEST(StateSchema, SurvivesGarbage) {
+  fuzz([](const Bytes& b) { core::decode<TypeParam>(b); },
+       300 + core::samples::index_in<TypeParam>(core::Records{}));
+}
+
+TYPED_TEST(StateSchema, SurvivesFlipsAndTruncations) {
+  mutate([](const Bytes& b) { core::decode<TypeParam>(b); },
+         core::encode(core::samples::sample<TypeParam>().value));
+}
+
+TYPED_TEST(StateSchema, RoundTripIsExact) {
+  Bytes bytes = core::encode(core::samples::sample<TypeParam>().value);
   EXPECT_EQ(core::encode(core::decode<TypeParam>(bytes)), bytes);
 }
 

@@ -27,9 +27,9 @@ struct Tag {};
 
 template <typename M>
 struct Sample {
-  M msg;
+  M value;
   std::string_view fields_hex;
-  std::string_view packet_sha;
+  std::string_view packet_sha = {};  ///< messages only: see wrap_sample()
 };
 
 template <typename M>
@@ -93,8 +93,8 @@ struct GtestTypes<TypeList<M...>> {
 /// core::Messages as a gtest type list.
 using SchemaTypes = GtestTypes<Messages>::type;
 
-/// Names each typed test after its message ("WireSchema/JoinStep1.X").
-struct MessageName {
+/// Names each typed test after its format ("WireSchema/JoinStep1.X").
+struct FormatName {
   template <typename M>
   static std::string GetName(int) {
     int status = 0;

@@ -1,8 +1,8 @@
-// The message schema pinned to recorded bytes: every message's fields and
-// its whole packet (protection included) must match what the hand-written
-// writers produced before the schema existed. A swapped pair of same-width
-// fields changes encoder and decoder alike, so no digest catches it; these
-// tests do.
+// The schema pinned to recorded bytes: every message's fields and its whole
+// packet (protection included), and every record's fields, must match what
+// the hand-written writers produced before the schema existed. A swapped
+// pair of same-width fields changes encoder and decoder alike, so no digest
+// catches it; these tests do.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "common/hex.h"
 #include "crypto/sha256.h"
 #include "mykil/messages.h"
+#include "record_samples.h"
 #include "wire_samples.h"
 
 namespace mykil::core {
@@ -29,54 +30,78 @@ std::string packet_sha(ByteView packet) {
 
 template <typename M>
 class WireGolden : public ::testing::Test {};
-TYPED_TEST_SUITE(WireGolden, samples::SchemaTypes, samples::MessageName);
+TYPED_TEST_SUITE(WireGolden, samples::SchemaTypes, samples::FormatName);
 
 TYPED_TEST(WireGolden, FieldsMatchRecordedBytes) {
   auto s = sample<TypeParam>();
-  EXPECT_EQ(hex_encode(encode(s.msg)), s.fields_hex);
+  EXPECT_EQ(hex_encode(encode(s.value)), s.fields_hex);
 }
 
 TYPED_TEST(WireGolden, PacketMatchesRecordedBytes) {
   auto s = sample<TypeParam>();
-  EXPECT_EQ(packet_sha(samples::wrap_sample(s.msg)), s.packet_sha);
+  EXPECT_EQ(packet_sha(samples::wrap_sample(s.value)), s.packet_sha);
 }
 
 TYPED_TEST(WireGolden, UnwrapReadsWhatWrapWrote) {
   auto s = sample<TypeParam>();
-  Bytes packet = samples::wrap_sample(s.msg);
+  Bytes packet = samples::wrap_sample(s.value);
   EnvelopeView env = parse_envelope_view(packet);
   EXPECT_EQ(env.type, TypeParam::kType);
   if constexpr (is_signed(TypeParam::kProtection))
     EXPECT_TRUE(verify_envelope(env, samples::sample_keys().signer.pub));
   else
     EXPECT_TRUE(env.sig.empty());
-  EXPECT_EQ(encode(samples::unwrap_sample<TypeParam>(env)), encode(s.msg));
+  EXPECT_EQ(encode(samples::unwrap_sample<TypeParam>(env)), encode(s.value));
 }
 
-// A message's wire order is its MYKIL_MESSAGE list; it must also be the
-// declaration order, so the struct reads top to bottom as the wire layout
-// and designated initializers list fields in wire order.
+template <typename R>
+class StateGolden : public ::testing::Test {};
+TYPED_TEST_SUITE(StateGolden, samples::RecordTypes, samples::FormatName);
+
+TYPED_TEST(StateGolden, FieldsMatchRecordedBytes) {
+  auto s = sample<TypeParam>();
+  EXPECT_EQ(hex_encode(encode(s.value)), s.fields_hex);
+}
+
+// A format's wire order is its field list; it must also be the declaration
+// order, so the struct reads top to bottom as the wire layout and designated
+// initializers list fields in wire order.
+template <typename F>
+const void* address_of(const F& field) {
+  if constexpr (schema::is_a<F, schema::Counted>)
+    return &field.items;
+  else
+    return &field;
+}
+
 template <typename M>
 bool listed_in_declaration_order() {
   M m{};
   auto addresses = std::apply(
       [](const auto&... field) {
-        return std::vector<const void*>{&field...};
+        return std::vector<const void*>{address_of(field)...};
       },
       m.fields());
   return std::is_sorted(addresses.begin(), addresses.end(),
                         std::less<const void*>());
 }
 
+template <typename... M>
+std::vector<std::string> out_of_declaration_order(TypeList<M...>) {
+  std::vector<std::string> out;
+  ((listed_in_declaration_order<M>()
+        ? void()
+        : out.push_back(samples::FormatName::GetName<M>(0))),
+   ...);
+  return out;
+}
+
 TEST(WireGolden, FieldListsFollowDeclarationOrder) {
-  std::vector<std::string> out_of_order;
-  [&]<typename... M>(TypeList<M...>) {
-    ((listed_in_declaration_order<M>()
-          ? void()
-          : out_of_order.push_back(samples::MessageName::GetName<M>(0))),
-     ...);
-  }(Messages{});
-  EXPECT_EQ(out_of_order, std::vector<std::string>{});
+  EXPECT_EQ(out_of_declaration_order(Messages{}), std::vector<std::string>{});
+}
+
+TEST(StateGolden, FieldListsFollowDeclarationOrder) {
+  EXPECT_EQ(out_of_declaration_order(Records{}), std::vector<std::string>{});
 }
 
 TEST(WireGolden, AliveMemberKindMatchesRecordedBytes) {
@@ -98,7 +123,7 @@ TEST(WireGolden, UnwrapRejectsAnotherTypesEnvelope) {
 }
 
 TEST(WireGolden, DataDecodesIntoViewsOfThePacket) {
-  Bytes packet = wrap(sample<Data>().msg);
+  Bytes packet = wrap(sample<Data>().value);
   EnvelopeView env = parse_envelope_view(packet);
   Data data = unwrap<Data>(env);
   for (ByteView part : {data.key_box, data.payload_box}) {
