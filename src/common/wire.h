@@ -66,6 +66,8 @@ class WireReader {
   std::string str();
   /// Exactly `n` raw bytes.
   Bytes raw(std::size_t n);
+  /// The next `n` bytes as a view into the reader's buffer, consumed.
+  ByteView take(std::size_t n);
   /// Everything not yet read, as a view into the reader's buffer; consumes
   /// it (a nested format that fills the rest of a message).
   ByteView rest() { return take(remaining()); }
@@ -78,8 +80,6 @@ class WireReader {
 
  private:
   void need(std::size_t n) const;
-  /// The next `n` bytes as a view, consumed.
-  ByteView take(std::size_t n);
 
   ByteView data_;
   std::size_t pos_ = 0;

@@ -74,4 +74,28 @@ DataPlaneKey::Open4Result DataPlaneKey::open4(
   return result;
 }
 
+const DataPlaneKey& DataPlaneCache::get(const SymmetricKey& key) {
+  for (auto& [raw, ctx] : slots_)
+    if (raw == key.raw()) return ctx;
+  if (slots_.size() >= 2) slots_.pop_back();
+  slots_.emplace(slots_.begin(), key.raw(), DataPlaneKey(key));
+  return slots_.front().second;
+}
+
+std::optional<Bytes> DataPlaneCache::open(
+    ByteView box, const SymmetricKey& current,
+    const std::optional<SymmetricKey>& previous) {
+  try {
+    return get(current).open(box);
+  } catch (const AuthError&) {
+  }
+  if (previous) {
+    try {
+      return get(*previous).open(box);
+    } catch (const AuthError&) {
+    }
+  }
+  return std::nullopt;
+}
+
 }  // namespace mykil::crypto

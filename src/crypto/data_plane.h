@@ -13,6 +13,9 @@
 #pragma once
 
 #include <array>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.h"
 #include "crypto/hmac.h"
@@ -46,6 +49,22 @@ class DataPlaneKey {
  private:
   Speck128 cipher_;  ///< key schedule for derive("enc"), run once
   HmacKey mac_;      ///< ipad/opad states for derive("mac"), run once
+};
+
+/// The contexts of the two keys a data path uses at once, the current and
+/// the previous group key, keyed by the raw key bytes: each is built when
+/// its key first seals or opens a packet, not per packet.
+class DataPlaneCache {
+ public:
+  /// The context of `key`; building a third drops the least recent one.
+  const DataPlaneKey& get(const SymmetricKey& key);
+  /// Open `box` under `current`, else under `previous`; nullopt if neither
+  /// key's tag verifies.
+  std::optional<Bytes> open(ByteView box, const SymmetricKey& current,
+                            const std::optional<SymmetricKey>& previous);
+
+ private:
+  std::vector<std::pair<Bytes, DataPlaneKey>> slots_;  ///< most recent first
 };
 
 }  // namespace mykil::crypto

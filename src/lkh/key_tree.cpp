@@ -8,6 +8,60 @@
 
 namespace mykil::lkh {
 
+namespace {
+
+/// serialize()'s bytes cut at its parts: views into the image.
+struct Image {
+  ByteView config;  ///< fanout and the two policy flags
+  std::vector<ByteView> nodes;
+  ByteView free_list;  ///< its count, then the indices
+};
+
+/// A node record's bytes besides its children: parent, child count, key,
+/// version, occupant, depth and subtree count.
+constexpr std::size_t kNodeFixedBytes =
+    4 + 1 + crypto::SymmetricKey::kSize + 8 + 8 + 2 + 4;
+
+/// A node record as serialize() writes it, its children after the child
+/// count. Every link must name one of `count` nodes.
+ByteView take_node(WireReader& r, std::uint32_t count) {
+  ByteView head = r.take(5);
+  std::size_t children = head[4];
+  ByteView tail = r.take(4 * children + kNodeFixedBytes - head.size());
+  ByteView record(head.data(), head.size() + tail.size());
+  WireReader links(record);
+  NodeIndex parent = links.u32();
+  if (parent != kNoNodeIndex && parent >= count)
+    throw WireError("parent index out of range");
+  links.u8();
+  for (std::size_t c = 0; c < children; ++c)
+    if (links.u32() >= count) throw WireError("child index out of range");
+  return record;
+}
+
+/// Reads a node count, rejecting one the bytes left cannot hold.
+std::uint32_t read_node_count(WireReader& r) {
+  std::uint32_t count = r.u32();
+  if (count > r.remaining() / kNodeFixedBytes)
+    throw WireError("node count exceeds buffer");
+  return count;
+}
+
+Image split(ByteView image) {
+  WireReader r(image);
+  Image out;
+  out.config = r.take(3);
+  r.u64();  // the epoch
+  std::uint32_t count = read_node_count(r);
+  out.nodes.reserve(count);
+  for (std::uint32_t i = 0; i < count; ++i)
+    out.nodes.push_back(take_node(r, count));
+  out.free_list = r.rest();
+  return out;
+}
+
+}  // namespace
+
 KeyTree::KeyTree(Config config, crypto::Prng prng)
     : config_(config), prng_(std::move(prng)) {
   if (config_.fanout < 2) throw ProtocolError("KeyTree fanout must be >= 2");
@@ -248,9 +302,7 @@ KeyTree KeyTree::deserialize(ByteView data, crypto::Prng prng) {
   t.nodes_.clear();
   t.free_leaves_.clear();
   t.epoch_ = r.u64();
-  std::uint32_t count = r.u32();
-  // Each serialized node is at least 39 bytes; reject hostile counts.
-  if (count > r.remaining() / 39) throw WireError("node count exceeds buffer");
+  std::uint32_t count = read_node_count(r);
   t.nodes_.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     TreeNode n;
@@ -288,6 +340,64 @@ KeyTree KeyTree::deserialize(ByteView data, crypto::Prng prng) {
   }
   t.check_invariants();
   return t;
+}
+
+Bytes KeyTree::delta_since(ByteView base) const {
+  Bytes now = serialize();
+  Image before = split(base);
+  Image after = split(now);
+  std::vector<NodeIndex> changed;
+  for (NodeIndex i = 0; i < after.nodes.size(); ++i)
+    if (i >= before.nodes.size() ||
+        !std::ranges::equal(before.nodes[i], after.nodes[i]))
+      changed.push_back(i);
+  WireWriter w;
+  w.u64(epoch_);
+  w.u32(static_cast<std::uint32_t>(after.nodes.size()));
+  w.u32(static_cast<std::uint32_t>(changed.size()));
+  for (NodeIndex i : changed) {
+    w.u32(i);
+    w.raw(after.nodes[i]);
+  }
+  w.raw(after.free_list);
+  return w.take();
+}
+
+Bytes KeyTree::apply_delta(ByteView base, ByteView delta) {
+  Image tree = split(base);
+  WireReader r(delta);
+  std::uint64_t epoch = r.u64();
+  std::uint32_t count = r.u32();
+  std::uint32_t changed = read_node_count(r);
+  if (count < tree.nodes.size()) throw WireError("a key tree never shrinks");
+  if (count - tree.nodes.size() > changed)
+    throw WireError("new nodes missing from the delta");
+  std::size_t old_count = tree.nodes.size();
+  tree.nodes.resize(count);
+  for (std::uint32_t k = 0, last = 0; k < changed; ++k) {
+    NodeIndex i = r.u32();
+    if (i >= count) throw WireError("node index out of range");
+    if (k > 0 && i <= last) throw WireError("node indices out of order");
+    last = i;
+    tree.nodes[i] = take_node(r, count);
+  }
+  for (std::size_t i = old_count; i < count; ++i)
+    if (tree.nodes[i].empty()) throw WireError("new nodes missing from the delta");
+  std::uint32_t nfree = r.u32();
+  if (nfree != r.remaining() / 4 || r.remaining() % 4 != 0)
+    throw WireError("free list does not fill the delta");
+  WireWriter w;
+  w.raw(tree.config);
+  w.u64(epoch);
+  w.u32(count);
+  for (ByteView node : tree.nodes) w.raw(node);
+  w.u32(nfree);
+  for (std::uint32_t k = 0; k < nfree; ++k) {
+    NodeIndex i = r.u32();
+    if (i >= count) throw WireError("free leaf index out of range");
+    w.u32(i);
+  }
+  return w.take();
 }
 
 void KeyTree::check_invariants() const {

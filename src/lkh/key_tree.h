@@ -82,6 +82,15 @@ class KeyTree {
   [[nodiscard]] Bytes serialize() const;
   /// Rebuild a tree from a snapshot. `prng` seeds future key generation.
   static KeyTree deserialize(ByteView data, crypto::Prng prng);
+  /// What changed since `base`, a serialize() image of this tree taken
+  /// earlier: the epoch, the node count, each node whose serialized record
+  /// differs, and the free list. O(changed nodes) bytes: a membership change
+  /// rewrites one root-to-leaf path.
+  [[nodiscard]] Bytes delta_since(ByteView base) const;
+  /// serialize()'s bytes for the tree a delta_since(base) was taken of,
+  /// rebuilt from `base`. Throws WireError on a malformed delta, a node
+  /// index or link outside the new node count, or a shrinking tree.
+  [[nodiscard]] static Bytes apply_delta(ByteView base, ByteView delta);
 
   [[nodiscard]] const crypto::SymmetricKey& root_key() const;
   [[nodiscard]] std::uint64_t epoch() const { return epoch_; }

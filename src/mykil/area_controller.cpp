@@ -30,23 +30,6 @@ constexpr std::uint64_t kTimerBackupWatch = 5;
 constexpr std::uint64_t kTimerLoadReport = 6;
 constexpr std::uint64_t kTimerMigrate = 7;
 
-/// Open a box under `current` falling back to `prev`; nullopt if neither.
-std::optional<Bytes> open_fallback(const crypto::SymmetricKey& current,
-                                   const std::optional<crypto::SymmetricKey>& prev,
-                                   ByteView box) {
-  try {
-    return crypto::sym_open(current, box);
-  } catch (const AuthError&) {
-  }
-  if (prev) {
-    try {
-      return crypto::sym_open(*prev, box);
-    } catch (const AuthError&) {
-    }
-  }
-  return std::nullopt;
-}
-
 }  // namespace
 
 AreaController::AreaController(AcId ac_id, MykilConfig config,
@@ -114,12 +97,7 @@ void AreaController::start_primary_timers() {
 }
 
 void AreaController::set_backup(net::NodeId backup_node) {
-  backup_node_ = backup_node;
-  peer_node_ = backup_node;
-  if (config_.enable_timers)
-    network().set_timer(id(), config_.heartbeat_interval,
-                        timer_token(kTimerHeartbeat));
-  sync_backup();
+  replicate_to(backup_node, "new-backup");
 }
 
 void AreaController::start_watchdog() {
@@ -792,13 +770,10 @@ void AreaController::handle_data(const net::Message& msg,
                      msg.group == uplink_->seat.group();
   if (!from_own && !from_parent) return;
 
-  std::optional<Bytes> dk_raw;
-  if (from_own) {
-    dk_raw = open_fallback(tree_->root_key(), prev_area_key_, key_box);
-  } else {
-    dk_raw = open_fallback(uplink_->seat.keys().group_key(),
-                           uplink_->seat.keys().previous_group_key(), key_box);
-  }
+  std::optional<Bytes> dk_raw =
+      from_own ? area_data_plane_.open(key_box, tree_->root_key(),
+                                       prev_area_key_)
+               : uplink_->seat.open_data_key(key_box);
   if (!dk_raw) {
     // In our own area the usual cause is the sender racing a rotation —
     // drop. In the parent's area it can equally be US holding a stale
@@ -808,20 +783,21 @@ void AreaController::handle_data(const net::Message& msg,
   }
   crypto::SymmetricKey data_key(std::move(*dk_raw));
 
-  auto build = [&](const crypto::SymmetricKey& area_key) {
-    Bytes resealed = crypto::sym_seal(area_key, data_key.bytes(), prng_);
+  auto build = [&](const Bytes& resealed) {
     return wrap(Data{.msg_id = msg_id, .sender = sender, .key_box = resealed,
                      .payload_box = payload_box});
   };
 
   if (from_own && uplink_ && uplink_->ready) {
-    network().multicast(id(), uplink_->seat.group(), kLabelData,
-                        build(uplink_->seat.keys().group_key()));
+    network().multicast(
+        id(), uplink_->seat.group(), kLabelData,
+        build(uplink_->seat.seal_data_key(data_key.bytes(), prng_)));
     uplink_->seat.sent(network().now());
     ++counters_.data_forwards;
   }
   if (from_parent) {
-    multicast_area(kLabelData, build(tree_->root_key()));
+    multicast_area(kLabelData, build(area_data_plane_.get(tree_->root_key())
+                                         .seal(data_key.bytes(), prng_)));
     ++counters_.data_forwards;
   }
 }
@@ -1033,17 +1009,54 @@ Bytes AreaController::replication_snapshot() const {
                                      tree_->serialize(), members_);
 }
 
-void AreaController::sync_backup() {
+Bytes AreaController::last_synced_snapshot() const {
+  return role_ == Role::kBackup && synced_ ? encode(*synced_) : Bytes{};
+}
+
+void AreaController::sync_backup(const char* full_reason) {
   if (role_ != Role::kPrimary || backup_node_ == net::kNoNode) return;
-  // {version; takeover epoch; snapshot}, sealed under the ACs' shared key.
-  // The version lets the backup detect a missed sync from heartbeats; the
-  // takeover epoch is the split-brain tie-breaker (DESIGN.md 9.3).
+  // Sealed under the ACs' shared key, with a version that lets the backup
+  // detect a missed sync and the takeover epoch that breaks a split brain
+  // (DESIGN.md 9.3). Once the standby holds what we last sent, only what
+  // changed since goes out: O(log n) tree nodes and the roster entries
+  // touched, not the whole area ("only a minimal state information").
   ++sync_version_;
+  auto* metrics = network().metrics();
+  if (full_reason == nullptr && synced_) {
+    AreaDelta delta = area_delta(*synced_, area_group_, parent_ac(),
+                                 rekey_epoch_, *tree_, members_);
+    delta.base_version = sync_version_ - 1;
+    delta.version = sync_version_;
+    apply(*synced_, delta);
+    network().unicast(id(), backup_node_, kLabelRepl,
+                      wrap(StateDelta{.takeover_epoch = takeover_epoch_,
+                                      .delta = std::move(delta)},
+                           k_shared_, prng_));
+    if (metrics != nullptr) metrics->counter("ac.repl_delta").inc();
+    return;
+  }
+  Bytes snapshot = replication_snapshot();
+  synced_ = decode<AreaSnapshot>(snapshot);
   network().unicast(id(), backup_node_, kLabelRepl,
                     wrap(StateSync{.version = sync_version_,
                                    .takeover_epoch = takeover_epoch_,
-                                   .snapshot = replication_snapshot()},
+                                   .snapshot = std::move(snapshot)},
                          k_shared_, prng_));
+  if (metrics != nullptr)
+    metrics
+        ->counter(std::string("ac.repl_full.") +
+                  (full_reason != nullptr ? full_reason : "new-backup"))
+        .inc();
+}
+
+void AreaController::replicate_to(net::NodeId standby,
+                                  const char* full_reason) {
+  backup_node_ = standby;
+  peer_node_ = standby;
+  if (config_.enable_timers)
+    network().set_timer(id(), config_.heartbeat_interval,
+                        timer_token(kTimerHeartbeat));
+  sync_backup(full_reason);
 }
 
 void AreaController::load_snapshot(AreaSnapshot snapshot) {
@@ -1082,31 +1095,79 @@ void AreaController::handle_state_sync(const net::Message& msg,
       // have been lost across takeovers) and answer with our own state —
       // receiving the higher takeover epoch is what demotes it.
       if (backup_node_ != msg.from)
-        set_backup(msg.from);
+        replicate_to(msg.from, "adoption");
       else
-        sync_backup();
+        sync_backup("adoption");
       return;
     }
     demote_to_backup(msg.from);
     // fall through: adopt the winner's state as our standby baseline
   }
-  peer_node_ = msg.from;
-
-  if (!got_snapshot_) {
-    // First sync: learn the area group and listen in silently.
-    network().join_group(decode<AreaSnapshot>(snapshot).area_group, id());
-    got_snapshot_ = true;
+  if (!newer_than_held(their_takeover, version)) return;
+  AreaSnapshot state = decode<AreaSnapshot>(snapshot);
+  // First sync: learn the area group and listen in silently.
+  if (!synced_) network().join_group(state.area_group, id());
+  synced_ = std::move(state);
+  if (their_takeover > takeover_epoch_) {
+    takeover_epoch_ = their_takeover;
+    gap_.announced = 0;  // versions announced before count in another epoch
   }
-  if (their_takeover > takeover_epoch_) takeover_epoch_ = their_takeover;
   peer_sync_version_ = version;
-  latest_snapshot_ = std::move(snapshot);
+  peer_node_ = msg.from;
   last_heartbeat_rx_ = network().now();
+  apply_early_deltas();
+}
+
+void AreaController::handle_state_delta(const net::Message& msg,
+                                        const EnvelopeView& env) {
+  auto [their_takeover, delta] = unwrap<StateDelta>(env, k_shared_);
+  if (role_ == Role::kPrimary) {
+    // A rival replicates to us, as with its heartbeat: ask for its whole
+    // state, since only the sealed full exchange may demote either side.
+    network().unicast(id(), msg.from, kLabelRepl, wrap(StateSyncRequest{}));
+    return;
+  }
+  if (!newer_than_held(their_takeover, delta.version)) return;
+  peer_node_ = msg.from;
+  last_heartbeat_rx_ = network().now();
+  // Unicast jitter reorders syncs sent microseconds apart: hold a delta
+  // until its base is held, keeping the ones nearest to it.
+  gap_.early.insert_or_assign({their_takeover, delta.base_version},
+                              std::move(delta));
+  if (gap_.early.size() > kMaxEarlyDeltas)
+    gap_.early.erase(std::prev(gap_.early.end()));
+  apply_early_deltas();
+}
+
+bool AreaController::newer_than_held(std::uint64_t takeover,
+                                     std::uint64_t version) const {
+  return !synced_ || std::pair(takeover, version) >
+                         std::pair(takeover_epoch_, peer_sync_version_);
+}
+
+void AreaController::apply_early_deltas() {
+  while (synced_ && !gap_.early.empty()) {
+    auto first = gap_.early.begin();
+    std::pair held(takeover_epoch_, peer_sync_version_);
+    if (first->first > held) break;
+    bool on_held = first->first == held;
+    AreaDelta delta = std::move(first->second);
+    gap_.early.erase(first);
+    if (!on_held) continue;  // its base is behind what we hold
+    apply(*synced_, delta);
+    peer_sync_version_ = delta.version;
+  }
+  bool behind = !gap_.early.empty() || gap_.announced > peer_sync_version_;
+  if (!behind)
+    gap_.since.reset();
+  else if (!gap_.since)
+    gap_.since = network().now();
 }
 
 void AreaController::handle_state_sync_request(const net::Message& msg) {
   if (role_ != Role::kPrimary) return;
   if (msg.from != backup_node_) return;  // only our own standby may pull
-  sync_backup();
+  sync_backup("request");
 }
 
 void AreaController::handle_heartbeat(const net::Message& msg,
@@ -1122,42 +1183,38 @@ void AreaController::handle_heartbeat(const net::Message& msg,
 
   last_heartbeat_rx_ = network().now();
   peer_node_ = msg.from;
-  if (version != peer_sync_version_) {
-    // We missed one or more state syncs (a partition or drops ate them).
-    // Pull a fresh snapshot instead of risking a takeover from stale
-    // membership.
-    network().unicast(id(), msg.from, kLabelRepl, wrap(StateSyncRequest{}));
-  }
+  // A version past ours means a sync is missing. Usually it is only late:
+  // the heartbeat leaves just after it and, being smaller, arrives first.
+  // The backup watch pulls the whole area once the gap outlasts a
+  // heartbeat interval, so a lost sync costs one full snapshot and an
+  // overtaken one none.
+  gap_.announced = std::max(gap_.announced, version);
+  apply_early_deltas();
 }
 
 void AreaController::promote_to_primary() {
-  if (role_ != Role::kBackup || !got_snapshot_) return;
+  if (role_ != Role::kBackup || !synced_) return;
   role_ = Role::kPrimary;
   ++takeover_epoch_;  // later promotion outranks the displaced primary
   ++timer_gen_;       // silence the backup watchdog chain
-  load_snapshot(decode<AreaSnapshot>(latest_snapshot_));
+  AreaSnapshot state = std::move(*synced_);
+  synced_.reset();  // the next sync, a full one, sets the delta base
+  gap_ = {};
+  load_snapshot(std::move(state));
   open_ = true;
   last_area_tx_ = network().now();
   start_primary_timers();
-  // Replicate toward the node we displaced: once it comes back (as the
-  // recovered old primary or as a demoted standby) our heartbeats and
-  // StateSyncs are what pull it into the standby role. Without this the
-  // area would run unreplicated until the next full role swap.
-  backup_node_ = peer_node_;
-  if (backup_node_ != net::kNoNode) {
-    if (config_.enable_timers)
-      network().set_timer(id(), config_.heartbeat_interval,
-                          timer_token(kTimerHeartbeat));
-    sync_backup();
-  }
   ++counters_.takeovers;
   if (auto* t = network().tracer())
     t->instant(obs::EventKind::kTakeover, id(), network().now(), ac_id_);
   if (auto* m = network().metrics()) m->counter("ac.takeovers").inc();
 
   // Update our own directory view and remember the displaced primary: it
-  // becomes our standby, so we replicate back to it — when it recovers,
-  // our StateSync (higher takeover epoch) demotes it.
+  // becomes our standby, so we replicate back to it. Once it comes back (as
+  // the recovered old primary or as a demoted standby) our heartbeats and
+  // StateSync (higher takeover epoch) are what pull it into the standby
+  // role; without this the area would run unreplicated until the next
+  // full role swap.
   net::NodeId old_primary = net::kNoNode;
   if (const AcInfo* self = directory_.find(ac_id_); self != nullptr) {
     if (self->node != id()) {
@@ -1174,7 +1231,8 @@ void AreaController::promote_to_primary() {
                                .ts = network().now()},
                       keypair_.priv));
 
-  if (old_primary != net::kNoNode) set_backup(old_primary);
+  if (old_primary == net::kNoNode) old_primary = peer_node_;
+  if (old_primary != net::kNoNode) replicate_to(old_primary, "promotion");
 
   // Re-link to the parent: the uplink's key state was intentionally not
   // replicated ("only a minimal state information is replicated").
@@ -1207,8 +1265,8 @@ void AreaController::demote_to_backup(net::NodeId new_primary) {
     uplink_.reset();
   }
   // Start over as a standby: the winner's next StateSync is our baseline.
-  got_snapshot_ = false;
-  latest_snapshot_.clear();
+  synced_.reset();
+  gap_ = {};
   peer_sync_version_ = 0;
   last_heartbeat_rx_ = network().now();
   if (const AcInfo* self = directory_.find(ac_id_);
@@ -1232,7 +1290,8 @@ AcState AreaController::checkpoint_state() const {
   return {.role = role_, .open = open_, .takeover_epoch = takeover_epoch_,
           .rekey_epoch = rekey_epoch_, .sync_version = sync_version_,
           .peer_sync_version = peer_sync_version_,
-          .got_snapshot = got_snapshot_, .latest_snapshot = latest_snapshot_,
+          .got_snapshot = role_ == Role::kBackup && synced_.has_value(),
+          .latest_snapshot = last_synced_snapshot(),
           .backup_node = backup_node_, .peer_node = peer_node_,
           .directory = directory_, .latest_map_payload = latest_map_payload_,
           .parent_hint = parent_hint_, .rs_node = rs_node_,
@@ -1251,8 +1310,8 @@ void AreaController::restore_state(AcState s) {
   takeover_epoch_ = s.takeover_epoch;
   sync_version_ = s.sync_version;
   peer_sync_version_ = s.peer_sync_version;
-  got_snapshot_ = s.got_snapshot;
-  latest_snapshot_ = std::move(s.latest_snapshot);
+  synced_.reset();
+  gap_ = {};
   backup_node_ = s.backup_node;
   peer_node_ = s.peer_node;
   directory_ = std::move(s.directory);
@@ -1299,17 +1358,17 @@ void AreaController::restore_state(AcState s) {
       if (config_.enable_timers)
         network().set_timer(id(), config_.heartbeat_interval,
                             timer_token(kTimerHeartbeat));
-      sync_backup();
+      sync_backup("restore");
     }
   } else {
     open_ = false;
     members_.clear();
     uplink_.reset();
     backup_node_ = net::kNoNode;
-    if (got_snapshot_ && !latest_snapshot_.empty()) {
+    if (s.got_snapshot && !s.latest_snapshot.empty()) {
+      synced_ = decode<AreaSnapshot>(s.latest_snapshot);
       // Re-subscribe to the area group we were silently shadowing.
-      network().join_group(decode<AreaSnapshot>(latest_snapshot_).area_group,
-                           id());
+      network().join_group(synced_->area_group, id());
     }
     last_heartbeat_rx_ = now;  // grace before the takeover watchdog
     if (config_.enable_timers)
@@ -1404,7 +1463,7 @@ void AreaController::on_timer(std::uint64_t token) {
     case kTimerBackupWatch: {
       if (role_ != Role::kBackup) return;
       net::SimTime limit = config_.heartbeat_misses * config_.heartbeat_interval;
-      if (got_snapshot_ && network().now() - last_heartbeat_rx_ > limit) {
+      if (synced_ && network().now() - last_heartbeat_rx_ > limit) {
         net::Network& net = network();
         if (auto* t = net.tracer()) {
           t->instant(obs::EventKind::kHeartbeatMiss, id(), net.now(), ac_id_);
@@ -1421,10 +1480,19 @@ void AreaController::on_timer(std::uint64_t token) {
         if (auto* m = net.metrics()) m->counter("ac.heartbeat_misses").inc();
         promote_to_primary();
         net.set_current_trace({});  // timer callbacks end with empty ambient
-      } else {
-        network().set_timer(id(), config_.heartbeat_interval,
-                            timer_token(kTimerBackupWatch));
+        return;
       }
+      // Behind an announced version for a whole interval: a sync was lost,
+      // not overtaken. Pull the whole area (once per interval).
+      net::SimTime now = network().now();
+      if (gap_.since && now - *gap_.since >= config_.heartbeat_interval &&
+          peer_node_ != net::kNoNode) {
+        network().unicast(id(), peer_node_, kLabelRepl,
+                          wrap(StateSyncRequest{}));
+        gap_.since = now;
+      }
+      network().set_timer(id(), config_.heartbeat_interval,
+                          timer_token(kTimerBackupWatch));
       return;
     }
     default:
@@ -1452,6 +1520,7 @@ void AreaController::on_message(const net::Message& raw) {
     if (role_ == Role::kBackup) {
       switch (env.type) {
         case MsgType::kStateSync: return handle_state_sync(msg, env);
+        case MsgType::kStateDelta: return handle_state_delta(msg, env);
         case MsgType::kHeartbeat: return handle_heartbeat(msg, env);
         // Standbys track the map too: a takeover must not revert the area
         // topology to a pre-split view.
@@ -1518,6 +1587,7 @@ void AreaController::on_message(const net::Message& raw) {
       // A primary also listens to replication traffic: a StateSync or
       // heartbeat reaching a primary means a split brain (DESIGN.md 9.3).
       case MsgType::kStateSync: return handle_state_sync(msg, env);
+      case MsgType::kStateDelta: return handle_state_delta(msg, env);
       case MsgType::kHeartbeat: return handle_heartbeat(msg, env);
       default: return;
     }

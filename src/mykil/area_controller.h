@@ -121,12 +121,11 @@ class AreaController : public net::Node {
   [[nodiscard]] std::uint64_t rekey_epoch() const { return rekey_epoch_; }
   /// Bumped on every promotion; the split-brain tie-breaker (DESIGN.md 9.3).
   [[nodiscard]] std::uint64_t takeover_epoch() const { return takeover_epoch_; }
-  /// Current replicable state: the AreaSnapshot record sync_backup sends.
+  /// Current replicable state: the AreaSnapshot record a full sync sends.
   [[nodiscard]] Bytes replication_snapshot() const;
-  /// Backup role: the most recent snapshot received from the primary.
-  [[nodiscard]] const Bytes& last_synced_snapshot() const {
-    return latest_snapshot_;
-  }
+  /// Backup role: the snapshot it holds, every delta received applied, in
+  /// replication_snapshot()'s encoding; empty before the first sync.
+  [[nodiscard]] Bytes last_synced_snapshot() const;
   [[nodiscard]] const net::ArqEndpoint& arq() const { return arq_; }
 
   /// Checkpoint the full controller state (role, epochs, directory, tree +
@@ -189,6 +188,7 @@ class AreaController : public net::Node {
   void handle_data(const net::Message& msg, const EnvelopeView& env);
   void handle_leave_request(const net::Message& msg, const EnvelopeView& env);
   void handle_state_sync(const net::Message& msg, const EnvelopeView& env);
+  void handle_state_delta(const net::Message& msg, const EnvelopeView& env);
   void handle_state_sync_request(const net::Message& msg);
   void handle_heartbeat(const net::Message& msg, const EnvelopeView& env);
   /// Demoted-primary courtesy: re-announce the takeover, unicast, to a
@@ -220,7 +220,19 @@ class AreaController : public net::Node {
                      bool cohort_confirmed_gone);
   void admit_rejoin(const AwaitingCohortCheck& s);
   void deny_rejoin(const AwaitingCohortCheck& s);
-  void sync_backup();
+  /// Replicate to the standby (DESIGN.md 9.3): the delta since the last
+  /// sync, or the whole area when `full_reason` says why the standby needs
+  /// it ("new-backup", "request", "promotion", "adoption", "restore").
+  void sync_backup(const char* full_reason = nullptr);
+  /// Make `standby` our standby: heartbeats, then the whole area.
+  void replicate_to(net::NodeId standby, const char* full_reason);
+  /// Standby: whether a sync at (takeover epoch, version) is newer than the
+  /// snapshot held; an older one is a late duplicate, never a step back.
+  [[nodiscard]] bool newer_than_held(std::uint64_t takeover,
+                                     std::uint64_t version) const;
+  /// Standby: apply the early deltas that chain onto the snapshot held,
+  /// drop those it has passed, and start or stop the gap clock.
+  void apply_early_deltas();
   /// Take over the area a snapshot describes: tree, roster, group, uplink.
   void load_snapshot(AreaSnapshot snapshot);
   void promote_to_primary();
@@ -286,6 +298,8 @@ class AreaController : public net::Node {
   IdSet seen_data_;
   /// Area key before the most recent rotation: senders race rekeys.
   std::optional<crypto::SymmetricKey> prev_area_key_;
+  /// Sealing contexts of the area key and prev_area_key_.
+  crypto::DataPlaneCache area_data_plane_;
   /// One-shot rejoin-timeout timers: token -> K_id of the awaited check.
   static constexpr std::uint64_t kRejoinTokenBase = 1000;
   std::map<std::uint64_t, std::uint64_t> rejoin_timeout_tokens_;
@@ -305,13 +319,26 @@ class AreaController : public net::Node {
   /// re-points replication at this node (the one we displaced).
   net::NodeId peer_node_ = net::kNoNode;
   net::SimTime last_heartbeat_rx_ = 0;
-  bool got_snapshot_ = false;
-  Bytes latest_snapshot_;
+  /// The area as the standby holds it: for a primary, what it last sent
+  /// (the base of its next delta); for a standby, what it received.
+  std::optional<AreaSnapshot> synced_;
   /// Incremented per sync_backup; carried in heartbeats so the backup can
-  /// detect a missed StateSync and re-request it (DESIGN.md 9.3).
+  /// detect a missed sync and pull the whole area (DESIGN.md 9.3).
   std::uint64_t sync_version_ = 0;
-  /// Backup role: version of latest_snapshot_.
+  /// Backup role: version of synced_.
   std::uint64_t peer_sync_version_ = 0;
+  /// Backup role: what the primary sent or announced beyond synced_.
+  struct SyncGap {
+    /// Deltas that arrived before their base, by (takeover epoch, base
+    /// version); at most kMaxEarlyDeltas, the nearest kept.
+    std::map<std::pair<std::uint64_t, std::uint64_t>, AreaDelta> early;
+    std::uint64_t announced = 0;  ///< the newest version a heartbeat named
+    /// Since when the standby has been behind: a whole heartbeat interval
+    /// behind means a sync was lost, not overtaken, and costs a full pull.
+    std::optional<net::SimTime> since;
+  };
+  static constexpr std::size_t kMaxEarlyDeltas = 8;
+  SyncGap gap_;
   /// Incremented on every promotion; the higher epoch wins a split brain.
   std::uint64_t takeover_epoch_ = 0;
   /// Backup role: per-sender rate limit on takeover redirects.

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "crypto/data_plane.h"
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
 #include "lkh/member_state.h"
@@ -99,6 +100,17 @@ class AreaSeat {
     return beacon != nullptr && beacon->ac_id == ac_ && beacon->epoch > epoch_;
   }
 
+  /// A data packet's key box (its K_d) sealed under the group key.
+  [[nodiscard]] Bytes seal_data_key(ByteView data_key,
+                                    crypto::Prng& prng) const {
+    return data_plane_.get(keys_.group_key()).seal(data_key, prng);
+  }
+  /// A key box opened under the group key, else the one before it: a
+  /// sender may race a rotation. nullopt if neither opens it.
+  [[nodiscard]] std::optional<Bytes> open_data_key(ByteView box) const {
+    return data_plane_.open(box, keys_.group_key(), keys_.previous_group_key());
+  }
+
   /// Follow a TakeOver (Section IV-C) that is fresh — a replay must not
   /// point anyone at a node demoted since — and signed by the named area:
   /// the directory lists the announced node as that area's primary, and a
@@ -129,6 +141,8 @@ class AreaSeat {
   net::SimTime recovery_started_ = 0;
   net::SimTime last_heard_ = 0;
   net::SimTime last_sent_ = 0;
+  /// Filling it is invisible to callers, hence mutable.
+  mutable crypto::DataPlaneCache data_plane_;
 };
 
 }  // namespace mykil::core

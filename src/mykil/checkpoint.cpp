@@ -21,22 +21,23 @@ void check_nested(const AcState& s) {
 
 Bytes capture_checkpoint(MykilGroup& group,
                          const std::vector<Member*>& members) {
-  Checkpoint ck;
-  ck.header = {.seed = group.options().seed,
-               .area_count = static_cast<std::uint32_t>(group.area_count()),
-               .member_count = static_cast<std::uint32_t>(members.size()),
-               .with_backups = group.options().with_backups,
-               .captured_at = group.network().now()};
-  ck.rs = group.rs().checkpoint_state();
+  CheckpointBody body;
+  body.captured_at = group.network().now();
+  body.rs = group.rs().checkpoint_state();
   for (std::size_t i = 0; i < group.area_count(); ++i) {
-    AreaCheckpoint& area = ck.areas.emplace_back();
+    AreaCheckpoint& area = body.areas.emplace_back();
     area.primary = group.ac(i).checkpoint_state();
     if (AreaController* b = group.backup(i))
       area.backup = b->checkpoint_state();
   }
   for (Member* m : members)
-    ck.members.push_back({m->client_id(), m->checkpoint_state()});
-  return encode(ck);
+    body.members.push_back({m->client_id(), m->checkpoint_state()});
+  CheckpointHeader header;
+  header.seed = group.options().seed;
+  header.area_count = static_cast<std::uint32_t>(group.area_count());
+  header.member_count = static_cast<std::uint32_t>(members.size());
+  header.with_backups = group.options().with_backups;
+  return encode(Checkpoint::of(std::move(header), body));
 }
 
 CheckpointHeader read_checkpoint_header(ByteView blob) {
@@ -45,7 +46,7 @@ CheckpointHeader read_checkpoint_header(ByteView blob) {
 
 void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
                         ByteView blob) {
-  Checkpoint ck = decode<Checkpoint>(blob);
+  Checkpoint ck = decode<Checkpoint>(blob);  // the digest is checked first
   const CheckpointHeader& h = ck.header;
   if (h.seed != group.options().seed)
     throw ProtocolError("checkpoint seed does not match the deployment");
@@ -53,34 +54,38 @@ void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
     throw ProtocolError("checkpoint shape does not match the deployment");
   if (h.with_backups != group.options().with_backups)
     throw ProtocolError("checkpoint replication mode mismatch");
+  CheckpointBody body = decode<CheckpointBody>(ck.body);
+  if (body.areas.size() != h.area_count ||
+      body.members.size() != h.member_count)
+    throw ProtocolError("checkpoint body does not match its header");
   for (std::size_t i = 0; i < group.area_count(); ++i) {
-    const AreaCheckpoint& area = ck.areas[i];
+    const AreaCheckpoint& area = body.areas[i];
     if (area.backup.has_value() != (group.backup(i) != nullptr))
       throw ProtocolError("checkpoint backup layout mismatch");
     check_nested(area.primary);
     if (area.backup) check_nested(*area.backup);
   }
   for (std::size_t i = 0; i < members.size(); ++i)
-    if (ck.members[i].client_id != members[i]->client_id())
+    if (body.members[i].client_id != members[i]->client_id())
       throw ProtocolError("checkpoint member order mismatch");
 
   // Advance the fresh simulation to the capture time so every restored
   // timestamp (ticket validity, ts-window checks) stays in the past where
   // it belongs. The fresh deployment is quiescent, so this is cheap.
-  if (group.network().now() < h.captured_at)
-    group.network().run_until(h.captured_at);
+  if (group.network().now() < body.captured_at)
+    group.network().run_until(body.captured_at);
 
   // Order matters: the RS first (ACs may immediately report load against
   // the restored directory), then AC pairs (primary before backup, so the
   // first post-restore state-sync lands on a restored peer), then members.
-  group.rs().restore_state(std::move(ck.rs));
+  group.rs().restore_state(std::move(body.rs));
   for (std::size_t i = 0; i < group.area_count(); ++i) {
-    AreaCheckpoint& area = ck.areas[i];
+    AreaCheckpoint& area = body.areas[i];
     group.ac(i).restore_state(std::move(area.primary));
     if (area.backup) group.backup(i)->restore_state(std::move(*area.backup));
   }
   for (std::size_t i = 0; i < members.size(); ++i)
-    members[i]->restore_state(std::move(ck.members[i].state));
+    members[i]->restore_state(std::move(body.members[i].state));
 }
 
 Bytes semantic_digest(MykilGroup& group, const std::vector<Member*>& members) {

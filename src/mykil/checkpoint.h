@@ -26,15 +26,16 @@ namespace mykil::core {
                                        const std::vector<Member*>& members);
 
 /// Decode a checkpoint and return its header (e.g. to rebuild the right
-/// shape before restoring). Throws ProtocolError on a bad magic and
-/// WireError on a malformed blob.
+/// shape before restoring). Throws ProtocolError on a bad magic or a digest
+/// that does not match the body, WireError on a malformed blob.
 [[nodiscard]] CheckpointHeader read_checkpoint_header(ByteView blob);
 
 /// Overlay a captured snapshot onto a freshly constructed deployment of
-/// the same seed and shape. All or nothing: the blob is decoded and checked
-/// against the deployment (seed, counts, backup layout, member order, each
-/// key tree) before the clock advances to the capture time and any node
-/// changes. Throws ProtocolError on a mismatch, WireError on a bad blob.
+/// the same seed and shape. All or nothing: the blob's digest is checked,
+/// then the blob is decoded and checked against the deployment (seed,
+/// counts, backup layout, member order, each key tree) before the clock
+/// advances to the capture time and any node changes. Throws ProtocolError
+/// on a mismatch, WireError on a bad blob.
 void restore_checkpoint(MykilGroup& group, const std::vector<Member*>& members,
                         ByteView blob);
 

@@ -245,20 +245,6 @@ void Member::leave() {
   joined_ = false;
 }
 
-const crypto::DataPlaneKey& Member::data_plane_for(
-    const crypto::SymmetricKey& key) const {
-  for (auto& [raw, ctx] : data_plane_cache_)
-    if (std::equal(raw.begin(), raw.end(), key.bytes().begin(),
-                   key.bytes().end()))
-      return ctx;
-  // Keep at most two contexts: the current and the previous group key (the
-  // only keys the data path ever uses). Oldest entry falls off the back.
-  if (data_plane_cache_.size() >= 2) data_plane_cache_.pop_back();
-  data_plane_cache_.emplace(data_plane_cache_.begin(), key.raw(),
-                            crypto::DataPlaneKey(key));
-  return data_plane_cache_.front().second;
-}
-
 void Member::send_data(ByteView payload) {
   if (!joined_) throw ProtocolError("send_data before join completed");
   // Iolus-style data path (Section III): random K_d, payload under K_d,
@@ -266,8 +252,7 @@ void Member::send_data(ByteView payload) {
   crypto::SymmetricKey data_key = crypto::SymmetricKey::random(prng_);
   std::uint64_t msg_id = prng_.next_u64();
   seen_data_.insert(msg_id);
-  Bytes key_box =
-      data_plane_for(seat_.keys().group_key()).seal(data_key.bytes(), prng_);
+  Bytes key_box = seat_.seal_data_key(data_key.bytes(), prng_);
   Bytes payload_box = crypto::sym_seal(data_key, payload, prng_);
   network().multicast(id(), seat_.group(), kLabelData,
                       wrap(Data{.msg_id = msg_id, .sender = nic_id_,
@@ -315,19 +300,14 @@ void Member::handle_data(const net::Message& msg, const EnvelopeView& env) {
 
 std::optional<Bytes> Member::try_open(ByteView key_box,
                                       ByteView payload_box) const {
-  auto open_with =
-      [&](const crypto::SymmetricKey& group_key) -> std::optional<Bytes> {
-    try {
-      crypto::SymmetricKey data_key(data_plane_for(group_key).open(key_box));
-      return crypto::sym_open(data_key, payload_box);
-    } catch (const Error&) {
-      return std::nullopt;
-    }
-  };
-  if (auto plain = open_with(seat_.keys().group_key())) return plain;
-  if (const auto& previous = seat_.keys().previous_group_key())
-    return open_with(*previous);
-  return std::nullopt;
+  std::optional<Bytes> data_key = seat_.open_data_key(key_box);
+  if (!data_key) return std::nullopt;
+  try {
+    return crypto::sym_open(crypto::SymmetricKey(std::move(*data_key)),
+                            payload_box);
+  } catch (const Error&) {
+    return std::nullopt;
+  }
 }
 
 void Member::retry_held(bool recovered) {
@@ -560,7 +540,6 @@ void Member::restore_state(MemberState s) {
   seen_data_.clear();
   received_data_.clear();
   discard_held();
-  data_plane_cache_.clear();
   seat_.heard(network().now());  // grace period before the watchdog
   seat_.sent(network().now());
   if (joined_ && directory_.find(seat_.ac_id()) == nullptr) {

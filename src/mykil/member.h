@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/id_set.h"
-#include "crypto/data_plane.h"
 #include "crypto/prng.h"
 #include "crypto/rsa.h"
 #include "lkh/member_state.h"
@@ -159,10 +158,6 @@ class Member : public net::Node {
   [[nodiscard]] AcId next_rejoin_target() const;
   /// Ask the AC for a sealed current-key catch-up (rate limited).
   void request_key_recovery(const char* trigger);
-  /// Cached DataPlaneKey for a group key: the Speck schedule and HMAC pad
-  /// states are rebuilt only when the key rotates, not per data packet.
-  [[nodiscard]] const crypto::DataPlaneKey& data_plane_for(
-      const crypto::SymmetricKey& key) const;
   /// Lazy ARQ setup (the network is only known after attach).
   void ensure_arq();
   /// Unicast control traffic through the ARQ layer.
@@ -224,10 +219,6 @@ class Member : public net::Node {
     ByteView payload_box;
   };
   std::vector<HeldData> held_data_;  ///< FIFO, oldest first
-
-  /// Two-slot cache (current + previous group key) of sealing contexts,
-  /// keyed by raw key bytes. Mutable: filling it is invisible to callers.
-  mutable std::vector<std::pair<Bytes, crypto::DataPlaneKey>> data_plane_cache_;
 };
 
 }  // namespace mykil::core

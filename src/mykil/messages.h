@@ -18,6 +18,7 @@
 #include "crypto/sealed.h"
 #include "lkh/rekey.h"
 #include "mykil/directory.h"
+#include "mykil/records.h"
 #include "mykil/schema.h"
 #include "mykil/wire.h"
 
@@ -262,6 +263,12 @@ struct StateSyncRequest {  // backup -> primary; no fields
   MYKIL_MESSAGE(kStateSyncRequest, kPlain)
 };
 
+struct StateDelta {  // primary -> backup, once it holds a snapshot
+  std::uint64_t takeover_epoch = 0;
+  AreaDelta delta;
+  MYKIL_MESSAGE(kStateDelta, kShared, takeover_epoch, delta)
+};
+
 // Online area management (DESIGN.md 14).
 
 struct AreaMapUpdate {  // RS -> AC, AC -> area (verbatim)
@@ -308,7 +315,7 @@ struct JoinShed {  // RS -> client: advisory, so unsigned
   X(AcUplinkReply) X(Alive) X(Rekey) X(SplitUpdate) X(Data) X(LeaveRequest) \
   X(StateSync) X(Heartbeat) X(TakeOver) X(KeyRecoveryRequest)               \
   X(KeyRecoveryReply) X(StateSyncRequest) X(AreaMapUpdate) X(LoadReport)    \
-  X(MigrateRequest) X(MigrateDirective) X(JoinShed)
+  X(MigrateRequest) X(MigrateDirective) X(JoinShed) X(StateDelta)
 
 using Messages = MYKIL_TYPE_LIST(MYKIL_MESSAGES);
 

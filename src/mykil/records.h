@@ -1,6 +1,7 @@
 // The records Mykil keeps for itself (DESIGN.md 3.7), in one list. The
 // state records are defined here: the area snapshot a primary replicates
-// to its standby (Section IV-C), each node's checkpoint record and the
+// to its standby (Section IV-C) and the delta it sends once the standby
+// holds one (DESIGN.md 9.3), each node's checkpoint record and the
 // checkpoint container (DESIGN.md 14.4). The directory, ticket and TESLA
 // records are defined with their modules. The tests iterate Records for
 // fuzz and golden coverage.
@@ -17,6 +18,10 @@
 #include "mykil/schema.h"
 #include "mykil/source_auth.h"
 #include "mykil/ticket.h"
+
+namespace mykil::lkh {
+class KeyTree;
+}  // namespace mykil::lkh
 
 namespace mykil::core {
 
@@ -50,6 +55,42 @@ struct AreaSnapshot {
   MYKIL_RECORD(area_group, parent, rekey_epoch, tree, members)
 };
 
+/// What changed in an area between two syncs: once its standby holds a
+/// snapshot, a primary replicates only this (DESIGN.md 9.3). StateDelta
+/// carries it; apply() turns the snapshot at base_version into the one at
+/// version.
+struct AreaDelta {
+  std::uint64_t base_version = 0;
+  std::uint64_t version = 0;
+  net::GroupId area_group = 0;
+  AcId parent = kNoAc;
+  std::uint64_t rekey_epoch = 0;
+  Bytes tree;  ///< lkh::KeyTree::delta_since() the base's tree
+  std::map<ClientId, AreaMember> members;  ///< roster entries added or changed
+  std::set<ClientId> removed;
+  MYKIL_RECORD(base_version, version, area_group, parent, rekey_epoch, tree,
+               members, removed)
+  void validate() const {
+    if (version <= base_version)
+      throw ProtocolError("delta does not move its base forward");
+    for (ClientId c : removed)
+      if (members.contains(c))
+        throw ProtocolError("delta both changes and removes a member");
+  }
+};
+
+/// The delta from `base` to an area's live state, the values
+/// replication_snapshot() encodes: roster entries compare by their
+/// replicated fields, tree nodes by their serialized records. The caller
+/// stamps the versions.
+AreaDelta area_delta(const AreaSnapshot& base, net::GroupId area_group,
+                     AcId parent, std::uint64_t rekey_epoch,
+                     const lkh::KeyTree& tree,
+                     const std::map<ClientId, AreaMember>& members);
+/// Turn `snapshot`, the state at delta.base_version, into the state at
+/// delta.version. Throws WireError if the tree delta does not fit it.
+void apply(AreaSnapshot& snapshot, const AreaDelta& delta);
+
 enum class AcRole : std::uint8_t { kPrimary, kBackup };
 constexpr AcRole last_value(AcRole) { return AcRole::kBackup; }
 
@@ -62,7 +103,7 @@ struct AcState {
   std::uint64_t sync_version = 0;
   std::uint64_t peer_sync_version = 0;
   bool got_snapshot = false;
-  Bytes latest_snapshot;  ///< a standby's last AreaSnapshot, as received
+  Bytes latest_snapshot;  ///< a standby's AreaSnapshot, every delta applied
   net::NodeId backup_node = net::kNoNode;
   net::NodeId peer_node = net::kNoNode;
   AcDirectory directory;
@@ -123,7 +164,8 @@ struct RsState {  // the registration server's checkpoint
                sheds, splits, merges, timeouts, spares, dynamic)
 };
 
-/// The shape of a captured deployment, which a restore target must match.
+/// The shape of a captured deployment, which a restore target must match,
+/// and the digest of the body after it.
 struct CheckpointHeader {
   static constexpr std::uint64_t kMagic = 0x4D594B494C434B31;  // "MYKILCK1"
   std::uint64_t magic = kMagic;
@@ -131,9 +173,8 @@ struct CheckpointHeader {
   std::uint32_t area_count = 0;  ///< construction areas, spares included
   std::uint32_t member_count = 0;
   bool with_backups = false;
-  net::SimTime captured_at = 0;
-  MYKIL_FIELDS(magic, seed, area_count, member_count, with_backups,
-               captured_at)
+  Bytes digest;  ///< SHA-256 of the encoded CheckpointBody
+  MYKIL_FIELDS(magic, seed, area_count, member_count, with_backups, digest)
   void validate() const {
     if (magic != kMagic)
       throw ProtocolError("not a Mykil checkpoint (bad magic)");
@@ -152,22 +193,33 @@ struct MemberCheckpoint {
   MYKIL_FIELDS(client_id, state)
 };
 
-/// A whole deployment: the header (which counts the areas and members), the
-/// RS, every AC pair in construction order, every member in creation order.
-struct Checkpoint {
-  CheckpointHeader header;
+/// What a checkpoint restores: the clock it was captured at, the RS, every
+/// AC pair in construction order, every member in creation order.
+struct CheckpointBody {
+  net::SimTime captured_at = 0;
   RsState rs;
   std::vector<AreaCheckpoint> areas;
   std::vector<MemberCheckpoint> members;
-  MYKIL_RECORD(header, rs, schema::counted(areas, header.area_count),
-               schema::counted(members, header.member_count))
+  MYKIL_RECORD(captured_at, rs, areas, members)
+};
+
+/// A whole deployment: the header, then the body it digests. The body stays
+/// bytes until its digest matches, so a blob with any byte changed is
+/// rejected before one of its records is read.
+struct Checkpoint {
+  CheckpointHeader header;
+  Bytes body;  ///< an encoded CheckpointBody
+  MYKIL_RECORD(header, body)
+  /// The checkpoint of `body`, its digest in `header`.
+  static Checkpoint of(CheckpointHeader header, const CheckpointBody& body);
+  void validate() const;  ///< the digest matches the body
 };
 
 /// The records: one entry per format Mykil keeps for itself.
 #define MYKIL_RECORDS(X)                                                   \
   X(AcInfo) X(AcDirectory) X(Ticket) X(TeslaParams) X(TeslaPacket)         \
-  X(AreaMember) X(AreaSnapshot) X(AcState) X(MemberState) X(RsState)       \
-  X(CheckpointHeader) X(Checkpoint)
+  X(AreaMember) X(AreaSnapshot) X(AreaDelta) X(AcState) X(MemberState)     \
+  X(RsState) X(CheckpointHeader) X(CheckpointBody) X(Checkpoint)
 
 using Records = MYKIL_TYPE_LIST(MYKIL_RECORDS);
 

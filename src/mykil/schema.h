@@ -68,18 +68,6 @@ auto tie(F&&... f) {
   return std::tuple<F...>(std::forward<F>(f)...);
 }
 
-/// A sequence counted by an earlier field of its record, not by a count of
-/// its own: the checkpoint header counts the areas and members after it.
-template <typename V>
-struct Counted {
-  V& items;
-  const std::uint32_t& count;
-};
-template <typename V>
-Counted<V> counted(V& items, const std::uint32_t& count) {
-  return {items, count};
-}
-
 template <typename T, template <typename...> class Of>
 inline constexpr bool is_a = false;
 template <template <typename...> class Of, typename... A>
@@ -162,12 +150,8 @@ void put(WireWriter& w, const F& f) {
           put(w, alt);
         },
         f);
-  else if constexpr (is_a<F, Counted>) {
-    if (f.items.size() != f.count)
-      throw WireError("sequence does not match its count");
-    for (const auto& x : f.items) put(w, x);
-  } else if constexpr (is_a<F, std::vector> || is_a<F, std::map> ||
-                       is_a<F, std::set>) {
+  else if constexpr (is_a<F, std::vector> || is_a<F, std::map> ||
+                     is_a<F, std::set>) {
     w.u32(static_cast<std::uint32_t>(f.size()));
     for (const auto& x : f) put(w, x);
   } else if constexpr (requires { F::kRecord; }) {
@@ -179,10 +163,18 @@ void put(WireWriter& w, const F& f) {
   }
 }
 
+/// A bool or presence byte: 0 or 1 only, so no two encodings decode alike
+/// and a changed byte never passes unnoticed.
+inline bool get_flag(WireReader& r) {
+  std::uint8_t v = r.u8();
+  if (v > 1) throw WireError("flag byte is neither 0 nor 1");
+  return v == 1;
+}
+
 template <typename F>
 void get(WireReader& r, F& f) {
   if constexpr (std::is_same_v<F, bool>) {
-    f = r.u8() != 0;
+    f = get_flag(r);
   } else if constexpr (std::is_enum_v<F>) {
     static_assert(sizeof(F) == 1, "an enum field travels as one byte");
     std::uint8_t v = r.u8();
@@ -202,14 +194,12 @@ void get(WireReader& r, F& f) {
   } else if constexpr (requires { read(r.view(), f); }) {
     read(r.view(), f);
   } else if constexpr (is_a<F, std::optional>) {
-    r.u8() != 0 ? get(r, f.emplace()) : f.reset();
+    get_flag(r) ? get(r, f.emplace()) : f.reset();
   } else if constexpr (is_a<F, std::variant>) {
     [&]<std::size_t... I>(std::uint8_t kind, std::index_sequence<I...>) {
       if (kind >= sizeof...(I)) throw WireError("unknown message kind");
       ((kind == I ? get(r, f.template emplace<I>()) : void()), ...);
     }(r.u8(), std::make_index_sequence<std::variant_size_v<F>>{});
-  } else if constexpr (is_a<F, Counted>) {
-    get_elements(r, f.items, f.count);
   } else if constexpr (is_a<F, std::vector> || is_a<F, std::map> ||
                        is_a<F, std::set>) {
     get_elements(r, f, r.u32());

@@ -37,6 +37,8 @@ enum class MsgType : std::uint8_t {
   // Online area management (DESIGN.md 14).
   kAreaMapUpdate = 36, kLoadReport = 37, kMigrateRequest = 38,
   kMigrateDirective = 39, kJoinShed = 40,
+  // Replication deltas (DESIGN.md 9.3).
+  kStateDelta = 41,
 };
 
 /// Append SHA-256(fields) to the fields — the paper's per-message MAC.

@@ -529,4 +529,41 @@ ChaosReport run_chaos(const ChaosOptions& opt) {
   return report;
 }
 
+std::string chaos_row(const ChaosOptions& opt, const ChaosReport& cr) {
+  char row[1024];
+  std::snprintf(
+      row, sizeof row,
+      "{\"suite\": \"chaos\", \"seed\": %llu, \"workers\": %u, "
+      "\"arq\": %s, \"converged\": %s, \"member_crashes\": %zu, "
+      "\"primary_crashes\": %zu, \"partitions\": %zu, "
+      "\"churn_events\": %zu, \"live_members\": %zu, "
+      "\"live_in_sync\": %zu, \"retransmits\": %llu, "
+      "\"key_recoveries\": %llu, \"takeovers\": %llu, "
+      "\"dynamic_areas\": %s, \"map_version\": %llu, "
+      "\"area_splits\": %llu, \"area_merges\": %llu, "
+      "\"migrations\": %llu, \"sheds\": %llu, "
+      "\"multi_owner_members\": %zu, \"orphan_members\": %zu, "
+      "\"epoch_regressions\": %zu, \"restored\": %s, "
+      "\"checkpoint_bytes\": %zu, "
+      "\"finished_at_us\": %llu, \"digest\": \"%016llx\"}\n",
+      static_cast<unsigned long long>(opt.seed), opt.workers,
+      opt.reliable_control ? "true" : "false",
+      cr.converged() ? "true" : "false", cr.member_crashes,
+      cr.primary_crashes, cr.partitions, cr.churn_events, cr.live_members,
+      cr.live_in_sync, static_cast<unsigned long long>(cr.retransmits),
+      static_cast<unsigned long long>(cr.key_recoveries),
+      static_cast<unsigned long long>(cr.takeovers),
+      opt.dynamic_areas ? "true" : "false",
+      static_cast<unsigned long long>(cr.map_version),
+      static_cast<unsigned long long>(cr.area_splits),
+      static_cast<unsigned long long>(cr.area_merges),
+      static_cast<unsigned long long>(cr.migrations),
+      static_cast<unsigned long long>(cr.sheds), cr.multi_owner_members,
+      cr.orphan_members, cr.epoch_regressions,
+      cr.restored ? "true" : "false", cr.checkpoint_bytes,
+      static_cast<unsigned long long>(cr.finished_at),
+      static_cast<unsigned long long>(cr.digest));
+  return row;
+}
+
 }  // namespace mykil::workload

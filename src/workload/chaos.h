@@ -166,4 +166,8 @@ struct ChaosReport {
 /// exactly under a debugger or tracer.
 ChaosReport run_chaos(const ChaosOptions& options);
 
+/// A run as one BENCH_chaos.json row: a flat one-line JSON object, newline
+/// included, that names the options chaos_golden replays it with.
+std::string chaos_row(const ChaosOptions& options, const ChaosReport& report);
+
 }  // namespace mykil::workload

@@ -16,26 +16,43 @@
 // The first 20 rows run with online area management (--area-split), the
 // last 20 in base mode (fixed areas).
 //
+// A row that does not reproduce is printed field by field, golden against
+// now, so a regeneration can be reviewed by what it changed.
+//
 // Usage: chaos_golden <path to BENCH_chaos.json>
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "workload/chaos.h"
 
 namespace {
 
-/// Value of `"key": value` in a flat one-line JSON object, quotes removed;
-/// empty when the key is absent.
-std::string field(const std::string& row, const std::string& key) {
-  const std::string pattern = "\"" + key + "\": ";
-  std::size_t begin = row.find(pattern);
-  if (begin == std::string::npos) return {};
-  begin += pattern.size();
-  std::string value = row.substr(begin, row.find_first_of(",}", begin) - begin);
-  if (value.size() >= 2 && value.front() == '"')
-    value = value.substr(1, value.size() - 2);
-  return value;
+using Fields = std::vector<std::pair<std::string, std::string>>;
+
+/// The `"key": value` pairs of a flat one-line JSON object, in order, with
+/// string values unquoted.
+Fields fields(const std::string& row) {
+  Fields out;
+  for (std::size_t key = row.find('"'); key != std::string::npos;
+       key = row.find('"', key)) {
+    std::size_t key_end = row.find('"', key + 1);
+    std::size_t value = row.find(": ", key_end) + 2;
+    std::size_t value_end = row.find_first_of(",}", value);
+    std::string v = row.substr(value, value_end - value);
+    if (v.size() >= 2 && v.front() == '"') v = v.substr(1, v.size() - 2);
+    out.emplace_back(row.substr(key + 1, key_end - key - 1), v);
+    key = value_end;
+  }
+  return out;
+}
+
+std::string field(const Fields& row, const std::string& key) {
+  for (const auto& [k, v] : row)
+    if (k == key) return v;
+  return {};
 }
 
 }  // namespace
@@ -56,24 +73,28 @@ int main(int argc, char** argv) {
   for (std::string row; std::getline(in, row);) {
     if (row.empty()) continue;
     ++rows;
+    const Fields golden = fields(row);
     mykil::workload::ChaosOptions opt;
-    opt.seed = std::stoull(field(row, "seed"));
-    opt.dynamic_areas = field(row, "dynamic_areas") == "true";
-    opt.workers = static_cast<unsigned>(std::stoul(field(row, "workers")));
-    opt.reliable_control = field(row, "arq") == "true";
+    opt.seed = std::stoull(field(golden, "seed"));
+    opt.dynamic_areas = field(golden, "dynamic_areas") == "true";
+    opt.workers = static_cast<unsigned>(std::stoul(field(golden, "workers")));
+    opt.reliable_control = field(golden, "arq") == "true";
     mykil::workload::ChaosReport rep = mykil::workload::run_chaos(opt);
+    const Fields now = fields(mykil::workload::chaos_row(opt, rep));
 
-    char digest[17];
-    std::snprintf(digest, sizeof digest, "%016llx",
-                  static_cast<unsigned long long>(rep.digest));
-    const bool converged = rep.converged();
-    const bool ok = field(row, "digest") == digest &&
-                    (field(row, "converged") == "true") == converged;
-    std::printf("chaos seed %llu: digest %s (golden %s), %s%s\n",
-                static_cast<unsigned long long>(opt.seed), digest,
-                field(row, "digest").c_str(),
-                converged ? "converged" : "FAILED", ok ? "" : "  MISMATCH");
-    if (!ok) ++failures;
+    const bool ok = now == golden;
+    std::printf("chaos seed %llu%s: digest %s (golden %s), %s%s\n",
+                static_cast<unsigned long long>(opt.seed),
+                opt.dynamic_areas ? " area-split" : "",
+                field(now, "digest").c_str(), field(golden, "digest").c_str(),
+                rep.converged() ? "converged" : "FAILED",
+                ok ? "" : "  MISMATCH");
+    if (ok) continue;
+    ++failures;
+    for (const auto& [key, value] : now)
+      if (field(golden, key) != value)
+        std::printf("    %s: golden %s, now %s\n", key.c_str(),
+                    field(golden, key).c_str(), value.c_str());
   }
   if (rows == 0) {
     std::printf("chaos_golden: no rows in %s\n", argv[1]);

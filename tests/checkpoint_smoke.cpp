@@ -4,8 +4,9 @@
 // identically-shaped deployment from the same seed, restore, and require
 // the semantic digest (memberships, epochs, key fingerprints, rosters,
 // map version) to come out byte-identical. The blob's size and SHA-256
-// are pinned, and a truncated blob must leave the fresh deployment as it
-// was: restore is all or nothing.
+// are pinned, and a truncated blob, or one with any single byte flipped,
+// must be rejected and leave the fresh deployment as it was: restore is
+// all or nothing.
 //
 // Part 2 — resume under fire: a dynamic-area chaos schedule that stops at
 // half time, restores, resumes, and must still converge on every
@@ -104,10 +105,13 @@ int main() {
     return fail("header does not describe the deployment");
   // The bytes the hand-written writers produced before the record schema.
   Bytes sha = crypto::Sha256::digest(blob);
-  if (blob.size() != 17877 ||
+  if (blob.size() != 17925 ||
       hex_encode(sha) !=
-          "a57875ea10994b8a826e808bc279a3754c5d44cde9f24b9216cd5bf0bed94ea9")
+          "658031c11bad5f952c8a2d0387f6eaee26fede64ba54ef091e653d8f8a6179a4") {
+    std::printf("checkpoint_smoke: %zu bytes, SHA-256 %s\n", blob.size(),
+                hex_encode(sha).c_str());
     return fail("checkpoint bytes changed");
+  }
 
   Sim fresh = build(/*join=*/false);
   // All or nothing: a truncated blob is rejected before the clock moves or
@@ -126,6 +130,22 @@ int main() {
     if (observable_state(fresh) != untouched)
       return fail("a rejected checkpoint changed the deployment");
   }
+  // Every single-byte flip is rejected: the header's digest covers the
+  // body, and each header field is checked against the deployment.
+  for (std::size_t i = 0; i < blob.size(); ++i) {
+    Bytes flipped = blob;
+    flipped[i] ^= 0xFF;
+    try {
+      core::restore_checkpoint(*fresh.group, ptrs(fresh), flipped);
+      std::printf("checkpoint_smoke: byte %zu flipped\n", i);
+      return fail("a corrupted checkpoint was restored");
+    } catch (const Error&) {
+    }
+    if (i % 1024 == 0 && observable_state(fresh) != untouched)
+      return fail("a rejected checkpoint changed the deployment");
+  }
+  if (observable_state(fresh) != untouched)
+    return fail("a rejected checkpoint changed the deployment");
   core::restore_checkpoint(*fresh.group, ptrs(fresh), blob);
   Bytes after = core::semantic_digest(*fresh.group, ptrs(fresh));
   if (before != after) return fail("semantic digest did not round-trip");
@@ -148,8 +168,9 @@ int main() {
     return fail("restored members cannot exchange data");
 
   std::printf("checkpoint_smoke: round trip OK (%zu bytes, digest match, "
-              "data flows, %zu truncations rejected cleanly)\n",
-              blob.size(), cuts.size());
+              "data flows, %zu truncations and %zu byte flips rejected "
+              "cleanly)\n",
+              blob.size(), cuts.size(), blob.size());
 
   // ---- part 2: resume under fire ----
   workload::ChaosOptions copt;
@@ -160,8 +181,12 @@ int main() {
   if (!cr.restored) return fail("chaos run never checkpointed");
   if (cr.checkpoint_bytes == 0) return fail("empty checkpoint blob");
   if (!cr.converged()) return fail("restored chaos run did not converge");
-  if (cr.checkpoint_bytes != 52102 || cr.digest != 0x686539055d26f9f1)
+  if (cr.checkpoint_bytes != 46456 || cr.digest != 0xcffdf59699c08822) {
+    std::printf("checkpoint_smoke: chaos %zu bytes, digest %016llx\n",
+                cr.checkpoint_bytes,
+                static_cast<unsigned long long>(cr.digest));
     return fail("chaos checkpoint size or digest changed");
+  }
   std::printf("checkpoint_smoke: chaos resume OK (%zu bytes, digest "
               "%016llx)\n",
               cr.checkpoint_bytes,

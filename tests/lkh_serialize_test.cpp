@@ -2,8 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "common/error.h"
+#include "common/wire.h"
 #include "crypto/sealed.h"
 #include "lkh/key_tree.h"
 #include "lkh/member_state.h"
@@ -164,6 +166,95 @@ TEST_P(SerializeChurnProperty, SnapshotAtRandomPointsAlwaysConsistent) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SerializeChurnProperty,
                          ::testing::Values(21u, 22u, 23u));
+
+// Node-level deltas (the standby's side of DESIGN.md 9.3): applying a delta
+// to the image it was taken against rebuilds serialize()'s bytes.
+
+class DeltaChurnProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DeltaChurnProperty, ApplyRebuildsTheSnapshotBytes) {
+  crypto::Prng rng(GetParam());
+  KeyTree::Config cfg;
+  cfg.fanout = static_cast<unsigned>(2 + rng.uniform(4));
+  KeyTree t(cfg, crypto::Prng(GetParam() * 5 + 2));
+  std::vector<MemberId> present;
+  MemberId next = 0;
+  Bytes base = t.serialize();
+  for (int step = 0; step < 300; ++step) {
+    std::uint64_t op = present.empty() ? 0 : rng.uniform(10);
+    if (op < 5) {
+      t.join(next);
+      present.push_back(next++);
+    } else if (op < 7) {
+      std::size_t i = rng.uniform(present.size());
+      t.leave(present[i]);
+      present.erase(present.begin() + static_cast<std::ptrdiff_t>(i));
+    } else if (op < 9) {
+      std::vector<MemberId> batch;
+      for (std::size_t i = present.size(); i-- > 0 && batch.size() < 5;)
+        if (rng.uniform(3) == 0) {
+          batch.push_back(present[i]);
+          present.erase(present.begin() + static_cast<std::ptrdiff_t>(i));
+        }
+      if (!batch.empty()) t.leave_batch(batch);
+    } else {
+      t.rotate_root();
+    }
+    // Deltas span one change or several: a standby may hold an older base.
+    if (rng.uniform(3) == 0) continue;
+    Bytes now = t.serialize();
+    Bytes delta = t.delta_since(base);
+    ASSERT_EQ(KeyTree::apply_delta(base, delta), now) << "step " << step;
+    if (present.size() > 32) {
+      EXPECT_LT(delta.size() * 2, now.size());
+    }
+    base = std::move(now);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, DeltaChurnProperty,
+                         ::testing::Values(31u, 32u, 33u, 34u));
+
+TEST(KeyTreeDelta, ALeaveRewritesOnlyItsPath) {
+  KeyTree t = build_tree(4, 64, 5);
+  Bytes base = t.serialize();
+  std::size_t depth = t.depth_of(17);
+  t.leave(17);
+  Bytes delta = t.delta_since(base);
+  WireReader r(delta);
+  r.u64();  // epoch
+  EXPECT_EQ(r.u32(), t.node_count());
+  EXPECT_EQ(r.u32(), depth + 1);  // the vacated leaf and its ancestors
+}
+
+/// Overwrite the u32 at `offset`.
+Bytes with_u32(Bytes bytes, std::size_t offset, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i)
+    bytes[offset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(v >> (24 - 8 * i));
+  return bytes;
+}
+
+TEST(KeyTreeDelta, RejectsOutOfRangeNodeIndices) {
+  KeyTree t = build_tree(4, 8, 7);
+  Bytes base = t.serialize();
+  t.leave(3);
+  Bytes delta = t.delta_since(base);
+  ASSERT_EQ(KeyTree::apply_delta(base, delta), t.serialize());
+  // epoch u64 | node count u32 | changed u32 | index u32, record ... | free
+  const auto count = static_cast<std::uint32_t>(t.node_count());
+  EXPECT_THROW(KeyTree::apply_delta(base, with_u32(delta, 16, count)),
+               WireError);  // a changed node past the last
+  EXPECT_THROW(KeyTree::apply_delta(base, with_u32(delta, 20, count)),
+               WireError);  // a parent link past the last node
+  EXPECT_THROW(KeyTree::apply_delta(base, with_u32(delta, delta.size() - 4,
+                                                   count)),
+               WireError);  // a free leaf past the last node
+  EXPECT_THROW(KeyTree::apply_delta(base, with_u32(delta, 8, count - 1)),
+               WireError);  // fewer nodes than the base
+  EXPECT_THROW(KeyTree::apply_delta(base, with_u32(delta, 8, count + 1)),
+               WireError);  // a new node the delta does not carry
+}
 
 }  // namespace
 }  // namespace mykil::lkh

@@ -3,7 +3,9 @@
 // records replaced (the directory, ticket and TESLA serializers, the AC's
 // snapshot writer, the three checkpoint_state writers and
 // capture_checkpoint), so it pins the bytes independently of the schema's
-// own encoder. A record without a sample() overload here does not compile
+// own encoder. AreaDelta and the checkpoint's header/digest/body layout
+// replaced no writer: a separate script packed their bytes from the layout
+// in DESIGN.md 3.7, re-using the recorded bytes of the records inside. A record without a sample() overload here does not compile
 // in the tests that iterate core::Records.
 #pragma once
 
@@ -11,6 +13,7 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/hex.h"
 #include "lkh/member_state.h"
 #include "mykil/records.h"
 #include "wire_samples.h"
@@ -138,13 +141,27 @@ inline RsState sample_rs_state() {
           .dynamic = {kAcIdBase + 2, kAcIdBase + 3}};
 }
 
+inline CheckpointBody sample_checkpoint_body() {
+  CheckpointBody body;
+  body.captured_at = 5'000'000;
+  body.rs = sample_rs_state();
+  body.areas.push_back({.primary = sample_ac_state(),
+                        .backup = sample_standby_state()});
+  body.areas.push_back({.primary = sample_standby_state(),
+                        .backup = std::nullopt});
+  body.members.push_back({.client_id = 7, .state = sample_member_state()});
+  return body;
+}
+
+/// The header of sample_checkpoint_body(): its digest is that body's.
 inline CheckpointHeader sample_checkpoint_header() {
   return {.magic = CheckpointHeader::kMagic,
           .seed = 11,
           .area_count = 2,
           .member_count = 1,
           .with_backups = true,
-          .captured_at = 5'000'000};
+          .digest = hex_decode(
+              "0930b82f73a4e897d7aeedb4b48e6abbec622a630155739282c3ddd30b76948e")};
 }
 
 inline Sample<AcInfo> sample(Tag<AcInfo>) {
@@ -202,6 +219,14 @@ inline Sample<AreaSnapshot> sample(Tag<AreaSnapshot>) {
           "0000000000000000"};
 }
 
+inline Sample<AreaDelta> sample(Tag<AreaDelta>) {
+  return {sample_area_delta(),
+          "0000000000000010000000000000001100000005414300000000000100000000"
+          "0000000f0000000a747265652d64656c74610000000100000000000000070000"
+          "000900000004706b2d3700000004746b2d3700000000d693a400000000010000"
+          "000000000008"};
+}
+
 inline Sample<AcState> sample(Tag<AcState>) {
   return {sample_ac_state(),
           "00010000000000000002000000000000000e0000000000000010000000000000"
@@ -239,50 +264,79 @@ inline Sample<RsState> sample(Tag<RsState>) {
 
 inline Sample<CheckpointHeader> sample(Tag<CheckpointHeader>) {
   return {sample_checkpoint_header(),
-          "4d594b494c434b31000000000000000b00000002000000010100000000004c4b"
-          "40"};
+          "4d594b494c434b31000000000000000b000000020000000101000000200930b8"
+          "2f73a4e897d7aeedb4b48e6abbec622a630155739282c3ddd30b76948e"};
+}
+
+inline Sample<CheckpointBody> sample(Tag<CheckpointBody>) {
+  return {sample_checkpoint_body(),
+          "00000000004c4b40000000df0000003200000000000000030000000141430000"
+          "0000000100000004000000050000000561632d706b0000000600000005626b2d"
+          "706b00000002000000000000000700000000d693a40000000000000000080000"
+          "0000039387000000000141430000000000010000000000000002000000000000"
+          "0001000000000000000200000000000000000000000000000001000000000000"
+          "0001000000000000000000000000000000000000000141430000000000030000"
+          "000c0000000d0000000573702d706bffffffff00000000000000024143000000"
+          "0000024143000000000003000000020000011300010000000000000002000000"
+          "000000000e000000000000001000000000000000000000000000000000060000"
+          "0006000000320000000000000003000000014143000000000001000000040000"
+          "00050000000561632d706b0000000600000005626b2d706b0000000c6d61702d"
+          "656e76656c6f7065ffffffffffffffff00000001010000006800000005414300"
+          "0000000001000000000000000e00000004747265650000000200000000000000"
+          "070000000900000004706b2d3700000004746b2d3700000000d693a400000000"
+          "00000000080000000a00000004706b2d3800000004746b2d3800000000000000"
+          "0000000002000000000000000900000004746b2d39000000000000000b000000"
+          "05746b2d3131010000005c010000000000000000020000000000000000000000"
+          "000000000000000000000000100100000008736e617073686f74ffffffff0000"
+          "00040000000c00000000000000000000000000000000ffffffffffffffff0000"
+          "000100000000000000005c010000000000000000020000000000000000000000"
+          "000000000000000000000000100100000008736e617073686f74ffffffff0000"
+          "00040000000c00000000000000000000000000000000ffffffffffffffff0000"
+          "0001000000000000000000010000000000000007000000d50100000001000000"
+          "00d693a40041430000000000010000000400000005000000000000000effffff"
+          "ffffffffff0000000d7365616c65642d7469636b657400000032000000000000"
+          "000300000001414300000000000100000004000000050000000561632d706b00"
+          "00000600000005626b2d706b0000004500000002000000000000000000000002"
+          "0000001010101010101010101010101010101010000000030000000000000001"
+          "0000001020202020202020202020202020202020000000000000000001000000"
+          "00000000020000000000000003"};
 }
 
 inline Sample<Checkpoint> sample(Tag<Checkpoint>) {
-  Checkpoint ck;
-  ck.header = sample_checkpoint_header();
-  ck.rs = sample_rs_state();
-  ck.areas.push_back({.primary = sample_ac_state(),
-                      .backup = sample_standby_state()});
-  ck.areas.push_back({.primary = sample_standby_state(),
-                      .backup = std::nullopt});
-  ck.members.push_back({.client_id = 7, .state = sample_member_state()});
-  return {ck,
-          "4d594b494c434b31000000000000000b00000002000000010100000000004c4b"
-          "40000000df000000320000000000000003000000014143000000000001000000"
-          "04000000050000000561632d706b0000000600000005626b2d706b0000000200"
-          "0000000000000700000000d693a4000000000000000008000000000393870000"
-          "0000014143000000000001000000000000000200000000000000010000000000"
-          "0000020000000000000000000000000000000100000000000000010000000000"
-          "00000000000000000000000000000141430000000000030000000c0000000d00"
-          "00000573702d706bffffffff0000000000000002414300000000000241430000"
-          "000000030000011300010000000000000002000000000000000e000000000000"
-          "0010000000000000000000000000000000000600000006000000320000000000"
+  return {Checkpoint{.header = sample_checkpoint_header(),
+                     .body = encode(sample_checkpoint_body())},
+          "4d594b494c434b31000000000000000b000000020000000101000000200930b8"
+          "2f73a4e897d7aeedb4b48e6abbec622a630155739282c3ddd30b76948e000003"
+          "ad00000000004c4b40000000df00000032000000000000000300000001414300"
+          "000000000100000004000000050000000561632d706b0000000600000005626b"
+          "2d706b00000002000000000000000700000000d693a400000000000000000800"
+          "0000000393870000000001414300000000000100000000000000020000000000"
+          "0000010000000000000002000000000000000000000000000000010000000000"
+          "0000010000000000000000000000000000000000000001414300000000000300"
+          "00000c0000000d0000000573702d706bffffffff000000000000000241430000"
+          "0000000241430000000000030000000200000113000100000000000000020000"
+          "00000000000e0000000000000010000000000000000000000000000000000600"
+          "0000060000003200000000000000030000000141430000000000010000000400"
+          "0000050000000561632d706b0000000600000005626b2d706b0000000c6d6170"
+          "2d656e76656c6f7065ffffffffffffffff000000010100000068000000054143"
+          "000000000001000000000000000e000000047472656500000002000000000000"
+          "00070000000900000004706b2d3700000004746b2d3700000000d693a4000000"
+          "0000000000080000000a00000004706b2d3800000004746b2d38000000000000"
+          "000000000002000000000000000900000004746b2d39000000000000000b0000"
+          "0005746b2d3131010000005c0100000000000000000200000000000000000000"
+          "00000000000000000000000000100100000008736e617073686f74ffffffff00"
+          "0000040000000c00000000000000000000000000000000ffffffffffffffff00"
+          "00000100000000000000005c0100000000000000000200000000000000000000"
+          "00000000000000000000000000100100000008736e617073686f74ffffffff00"
+          "0000040000000c00000000000000000000000000000000ffffffffffffffff00"
+          "000001000000000000000000010000000000000007000000d501000000010000"
+          "0000d693a40041430000000000010000000400000005000000000000000effff"
+          "ffffffffffff0000000d7365616c65642d7469636b6574000000320000000000"
           "00000300000001414300000000000100000004000000050000000561632d706b"
-          "0000000600000005626b2d706b0000000c6d61702d656e76656c6f7065ffffff"
-          "ffffffffff000000010100000068000000054143000000000001000000000000"
-          "000e00000004747265650000000200000000000000070000000900000004706b"
-          "2d3700000004746b2d3700000000d693a40000000000000000080000000a0000"
-          "0004706b2d3800000004746b2d38000000000000000000000002000000000000"
-          "000900000004746b2d39000000000000000b00000005746b2d3131010000005c"
-          "0100000000000000000200000000000000000000000000000000000000000000"
-          "00100100000008736e617073686f74ffffffff000000040000000c0000000000"
-          "0000000000000000000000ffffffffffffffff0000000100000000000000005c"
-          "0100000000000000000200000000000000000000000000000000000000000000"
-          "00100100000008736e617073686f74ffffffff000000040000000c0000000000"
-          "0000000000000000000000ffffffffffffffff00000001000000000000000000"
-          "0000000007000000d5010000000100000000d693a40041430000000000010000"
-          "000400000005000000000000000effffffffffffffff0000000d7365616c6564"
-          "2d7469636b657400000032000000000000000300000001414300000000000100"
-          "000004000000050000000561632d706b0000000600000005626b2d706b000000"
-          "4500000002000000000000000000000002000000101010101010101010101010"
-          "1010101010000000030000000000000001000000102020202020202020202020"
-          "202020202000000000000000000100000000000000020000000000000003"};
+          "0000000600000005626b2d706b00000045000000020000000000000000000000"
+          "0200000010101010101010101010101010101010100000000300000000000000"
+          "0100000010202020202020202020202020202020200000000000000000010000"
+          "0000000000020000000000000003"};
 }
 
 }  // namespace mykil::core::samples

@@ -180,17 +180,24 @@ TEST(WireFuzz, ArqFrameSurvivesMutationAndTruncation) {
 
 TEST(WireFuzz, CheckpointHeaderSurvivesGarbageAndMutation) {
   fuzz([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, 115);
-  // A valid blob of an empty deployment: the header record, an empty RS
-  // record, no areas and no members. Every mutation and truncation must
-  // throw or decode, not crash.
-  core::Checkpoint empty;
-  empty.header = {.seed = 7, .with_backups = true, .captured_at = 500};
-  Bytes valid = core::encode(empty);
+  // A valid blob of an empty deployment: the header record, then a body of
+  // an empty RS record, no areas and no members. Every mutation and
+  // truncation must throw or decode, not crash.
+  core::CheckpointHeader header;
+  header.seed = 7;
+  header.with_backups = true;
+  core::CheckpointBody body;
+  body.captured_at = 500;
+  Bytes valid = core::encode(core::Checkpoint::of(header, body));
   EXPECT_EQ(core::read_checkpoint_header(valid).seed, 7u);
   mutate([](const Bytes& b) { (void)core::read_checkpoint_header(b); }, valid);
   Bytes bad_magic = valid;
   bad_magic[0] ^= 1;
   EXPECT_THROW((void)core::read_checkpoint_header(bad_magic), ProtocolError);
+  // A changed body byte fails the digest before the body is decoded.
+  Bytes bad_body = valid;
+  bad_body.back() ^= 1;
+  EXPECT_THROW((void)core::read_checkpoint_header(bad_body), ProtocolError);
 }
 
 TEST(WireFuzz, KeyTreeSnapshotSurvivesMutation) {
@@ -200,6 +207,21 @@ TEST(WireFuzz, KeyTreeSnapshotSurvivesMutation) {
   for (lkh::MemberId m = 1; m <= 6; ++m) tree.join(m);
   mutate([](const Bytes& b) { lkh::KeyTree::deserialize(b, Prng(7)); },
          tree.serialize());
+}
+
+TEST(WireFuzz, KeyTreeDeltaSurvivesGarbageAndMutation) {
+  // A standby applies tree deltas to the image it holds: a hostile delta
+  // must be rejected, not followed past the node array.
+  lkh::KeyTree tree(lkh::KeyTree::Config{}, Prng(8));
+  for (lkh::MemberId m = 1; m <= 9; ++m) tree.join(m);
+  const Bytes base = tree.serialize();
+  tree.leave(4);
+  tree.join(10);
+  auto apply = [&](const Bytes& b) {
+    (void)lkh::KeyTree::apply_delta(base, b);
+  };
+  fuzz(apply, 117);
+  mutate(apply, tree.delta_since(base));
 }
 
 TEST(WireFuzz, MemberKeyStateSurvivesGarbage) {

@@ -2,8 +2,11 @@
 // encode to and the first 8 bytes (hex) of SHA-256 over the packet that
 // wrap_sample() builds from it. Both were recorded from the hand-written
 // writers the schema replaced, so they pin the wire bytes independently of
-// the schema's own encoder. A message without a sample() overload here
-// does not compile in the tests that iterate core::Messages.
+// the schema's own encoder. StateDelta replaced no writer: its fields were
+// packed by a separate script from the layout in DESIGN.md 3.7, and its
+// packet was sealed and enveloped by hand (sym_seal, envelope). A message
+// without a sample() overload here does not compile in the tests that
+// iterate core::Messages.
 #pragma once
 
 #include <cstdint>
@@ -372,6 +375,30 @@ inline Sample<MigrateDirective> sample(Tag<MigrateDirective>) {
           "41430000000000010000000000000007414300000000000200000000004c4b40"
           "0000000c6d61702d656e76656c6f7065",
           "b5c7fba8c6382c07"};
+}
+
+/// Also the AreaDelta record's sample (record_samples.h).
+inline AreaDelta sample_area_delta() {
+  return {.base_version = 16,
+          .version = 17,
+          .area_group = 5,
+          .parent = kAcIdBase + 1,
+          .rekey_epoch = 15,
+          .tree = to_bytes("tree-delta"),
+          .members = {{7, {.node = 9,
+                           .pubkey = to_bytes("pk-7"),
+                           .sealed_ticket = to_bytes("tk-7"),
+                           .valid_until = 3'600'000'000}}},
+          .removed = {8}};
+}
+
+inline Sample<StateDelta> sample(Tag<StateDelta>) {
+  return {StateDelta{.takeover_epoch = 2, .delta = sample_area_delta()},
+          "0000000000000002000000660000000000000010000000000000001100000005"
+          "4143000000000001000000000000000f0000000a747265652d64656c74610000"
+          "000100000000000000070000000900000004706b2d3700000004746b2d370000"
+          "0000d693a400000000010000000000000008",
+          "d41169e3c2c52a77"};
 }
 
 inline Sample<JoinShed> sample(Tag<JoinShed>) {

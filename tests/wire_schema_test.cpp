@@ -66,20 +66,12 @@ TYPED_TEST(StateGolden, FieldsMatchRecordedBytes) {
 // A format's wire order is its field list; it must also be the declaration
 // order, so the struct reads top to bottom as the wire layout and designated
 // initializers list fields in wire order.
-template <typename F>
-const void* address_of(const F& field) {
-  if constexpr (schema::is_a<F, schema::Counted>)
-    return &field.items;
-  else
-    return &field;
-}
-
 template <typename M>
 bool listed_in_declaration_order() {
   M m{};
   auto addresses = std::apply(
       [](const auto&... field) {
-        return std::vector<const void*>{address_of(field)...};
+        return std::vector<const void*>{&field...};
       },
       m.fields());
   return std::is_sorted(addresses.begin(), addresses.end(),
