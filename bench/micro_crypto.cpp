@@ -18,6 +18,7 @@
 #include "bench_util.h"
 #include "crypto/bignum.h"
 #include "crypto/cpu_features.h"
+#include "crypto/data_plane.h"
 #include "crypto/hmac.h"
 #include "crypto/prng.h"
 #include "crypto/rc4.h"
@@ -419,6 +420,29 @@ void run_json_suite(const std::string& path, bool smoke) {
              crypto::speck_impl_name(), [&] {
                benchmark::DoNotOptimize(crypto::speck_ctr(hkey, nonce, data4k));
              });
+
+  // One member delivery (DESIGN.md 12): K_d's 40-byte key box under the
+  // cached group context, then a one-shot open of the 64-byte payload
+  // under K_d, straight into the buffer the member keeps.
+  const crypto::SymmetricKey group_key = crypto::SymmetricKey::random(prng);
+  const crypto::SymmetricKey data_key = crypto::SymmetricKey::random(prng);
+  const crypto::DataPlaneKey group_ctx(group_key);
+  const Bytes key_box = group_ctx.seal(data_key.bytes(), prng);
+  const Bytes payload_box =
+      crypto::sym_seal(data_key, ByteView(data1k.data(), 64), prng);
+  time_op_median(json, "data_open_64B", 5, sym_reps, [&] {
+    std::array<std::uint8_t, crypto::SymmetricKey::kSize> raw;
+    Bytes plain(64);
+    bool ok = group_ctx.open_into(key_box, raw) &&
+              crypto::DataPlaneKey(crypto::SymmetricKey(raw))
+                  .open_into(payload_box, plain);
+    benchmark::DoNotOptimize(ok);
+    benchmark::DoNotOptimize(plain.data());
+    benchmark::ClobberMemory();
+  });
+  time_op_median(json, "sym_open_64B", 5, sym_reps, [&] {
+    benchmark::DoNotOptimize(crypto::sym_open(data_key, payload_box));
+  });
 
   if (!json.write_file(path)) {
     std::fprintf(stderr, "failed to write %s\n", path.c_str());

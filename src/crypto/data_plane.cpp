@@ -1,5 +1,6 @@
 #include "crypto/data_plane.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -31,27 +32,37 @@ DataPlaneKey::DataPlaneKey(const SymmetricKey& key)
 Bytes DataPlaneKey::seal(ByteView plaintext, Prng& prng) const {
   Bytes out;
   out.reserve(kNonceLen + plaintext.size() + kTagLen);
-  Bytes nonce = prng.bytes(kNonceLen);
+  std::array<std::uint8_t, kNonceLen> nonce;
+  prng.fill(nonce);
   append(out, nonce);
   append(out, plaintext);
   // Encrypt in place: the plaintext bytes sit in their final wire position
   // and the keystream XOR happens right there — no scratch ciphertext.
   cipher_.ctr_xor(nonce_le64(out.data()), 0, out.data() + kNonceLen,
                   plaintext.size());
-  Bytes tag = mac_.mac_trunc(ByteView(out.data(), out.size()), kTagLen);
-  append(out, tag);
+  std::array<std::uint8_t, HmacKey::kTagSize> tag;
+  mac_.mac_into(out, tag);
+  append(out, ByteView(tag.data(), kTagLen));
   return out;
 }
 
 Bytes DataPlaneKey::open(ByteView sealed) const {
   if (sealed.size() < kNonceLen + kTagLen)
     throw AuthError("sealed box too short");
-  ByteView body(sealed.data(), sealed.size() - kTagLen);
-  ByteView tag(sealed.data() + sealed.size() - kTagLen, kTagLen);
-  if (!mac_.verify(body, tag)) throw AuthError("sealed box tag mismatch");
-  Bytes pt(sealed.begin() + kNonceLen, sealed.end() - kTagLen);
-  cipher_.ctr_xor(nonce_le64(sealed.data()), 0, pt.data(), pt.size());
+  Bytes pt(sealed.size() - kNonceLen - kTagLen);
+  if (!open_into(sealed, pt)) throw AuthError("sealed box tag mismatch");
   return pt;
+}
+
+bool DataPlaneKey::open_into(ByteView sealed,
+                             std::span<std::uint8_t> out) const {
+  if (sealed.size() != kNonceLen + out.size() + kTagLen) return false;
+  ByteView body(sealed.data(), sealed.size() - kTagLen);
+  ByteView tag(sealed.data() + body.size(), kTagLen);
+  if (!mac_.verify(body, tag)) return false;
+  std::copy(body.begin() + kNonceLen, body.end(), out.begin());
+  cipher_.ctr_xor(nonce_le64(sealed.data()), 0, out.data(), out.size());
+  return true;
 }
 
 DataPlaneKey::Open4Result DataPlaneKey::open4(
@@ -75,26 +86,20 @@ DataPlaneKey::Open4Result DataPlaneKey::open4(
 }
 
 const DataPlaneKey& DataPlaneCache::get(const SymmetricKey& key) {
-  for (auto& [raw, ctx] : slots_)
-    if (raw == key.raw()) return ctx;
+  for (auto& [k, ctx] : slots_)
+    if (k == key) return ctx;
   if (slots_.size() >= 2) slots_.pop_back();
-  slots_.emplace(slots_.begin(), key.raw(), DataPlaneKey(key));
+  slots_.emplace(slots_.begin(), key, DataPlaneKey(key));
   return slots_.front().second;
 }
 
-std::optional<Bytes> DataPlaneCache::open(
+std::optional<SymmetricKey> DataPlaneCache::open_key(
     ByteView box, const SymmetricKey& current,
     const std::optional<SymmetricKey>& previous) {
-  try {
-    return get(current).open(box);
-  } catch (const AuthError&) {
-  }
-  if (previous) {
-    try {
-      return get(*previous).open(box);
-    } catch (const AuthError&) {
-    }
-  }
+  std::array<std::uint8_t, SymmetricKey::kSize> raw;
+  if (get(current).open_into(box, raw) ||
+      (previous && get(*previous).open_into(box, raw)))
+    return SymmetricKey(raw);
   return std::nullopt;
 }
 

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -35,6 +36,14 @@ class DataPlaneKey {
   /// Open a box sealed by seal()/sym_seal; throws AuthError on a bad tag.
   [[nodiscard]] Bytes open(ByteView sealed) const;
 
+  /// Open `sealed` into `out`, which must not overlap it. False, with `out`
+  /// untouched, unless the box carries exactly out.size() plaintext bytes
+  /// and its tag verifies; the tag is compared in constant time before a
+  /// byte is decrypted. Allocates nothing: a receiver opens straight into
+  /// the buffer it keeps.
+  [[nodiscard]] bool open_into(ByteView sealed,
+                               std::span<std::uint8_t> out) const;
+
   /// Open four boxes in one batch: tags verify through HmacKey::verify4's
   /// interleaved SHA-256 lanes, then each box decrypts. Per-slot results;
   /// a slot whose tag fails (or that is too short) comes back empty with
@@ -52,19 +61,22 @@ class DataPlaneKey {
 };
 
 /// The contexts of the two keys a data path uses at once, the current and
-/// the previous group key, keyed by the raw key bytes: each is built when
-/// its key first seals or opens a packet, not per packet.
+/// the previous group key: each is built when its key first seals or opens
+/// a packet, not per packet.
 class DataPlaneCache {
  public:
   /// The context of `key`; building a third drops the least recent one.
   const DataPlaneKey& get(const SymmetricKey& key);
-  /// Open `box` under `current`, else under `previous`; nullopt if neither
-  /// key's tag verifies.
-  std::optional<Bytes> open(ByteView box, const SymmetricKey& current,
-                            const std::optional<SymmetricKey>& previous);
+  /// Open a sealed key (a data packet's K_d box) under `current`, else
+  /// under `previous`; nullopt if the box does not hold exactly one key or
+  /// neither key's tag verifies. Allocates nothing once both contexts are
+  /// built.
+  std::optional<SymmetricKey> open_key(
+      ByteView box, const SymmetricKey& current,
+      const std::optional<SymmetricKey>& previous);
 
  private:
-  std::vector<std::pair<Bytes, DataPlaneKey>> slots_;  ///< most recent first
+  std::vector<std::pair<SymmetricKey, DataPlaneKey>> slots_;  ///< recent first
 };
 
 }  // namespace mykil::crypto

@@ -1,37 +1,55 @@
 #include "crypto/hmac.h"
 
+#include <algorithm>
+
 namespace mykil::crypto {
 
-HmacKey::HmacKey(ByteView key) {
-  constexpr std::size_t kBlock = Sha256::kBlockSize;
+namespace {
 
-  Bytes k(kBlock, 0);
+constexpr std::size_t kBlock = Sha256::kBlockSize;
+
+}  // namespace
+
+HmacKey::HmacKey(ByteView key) {
+  std::array<std::uint8_t, kBlock> k{};
   if (key.size() > kBlock) {
-    Bytes kd = Sha256::digest(key);
-    std::copy(kd.begin(), kd.end(), k.begin());
+    Sha256 h;
+    h.update(key);
+    h.finish_into(std::span<std::uint8_t, Sha256::kDigestSize>(
+        k.data(), Sha256::kDigestSize));
   } else {
     std::copy(key.begin(), key.end(), k.begin());
   }
 
-  Bytes ipad(kBlock), opad(kBlock);
-  for (std::size_t i = 0; i < kBlock; ++i) {
-    ipad[i] = k[i] ^ 0x36;
-    opad[i] = k[i] ^ 0x5c;
-  }
-  // Each pad is exactly one block, so both states are compressed and the
-  // internal buffers are empty — copies of them resume mid-stream.
-  inner_.update(ipad);
-  outer_.update(opad);
+  // Each pad is exactly one block, so both states are compressed and
+  // nothing is left buffered: the midstates resume mid-stream.
+  std::array<std::uint8_t, kBlock> pad;
+  for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x36;
+  Sha256 inner;
+  inner.update(pad);
+  inner_ = inner.midstate();
+  for (std::size_t i = 0; i < kBlock; ++i) pad[i] = k[i] ^ 0x5c;
+  Sha256 outer;
+  outer.update(pad);
+  outer_ = outer.midstate();
+}
+
+void HmacKey::mac_into(ByteView message,
+                       std::span<std::uint8_t, kTagSize> out) const {
+  Sha256 inner(inner_, kBlock);
+  inner.update(message);
+  std::array<std::uint8_t, Sha256::kDigestSize> inner_digest;
+  inner.finish_into(inner_digest);
+
+  Sha256 outer(outer_, kBlock);
+  outer.update(inner_digest);
+  outer.finish_into(out);
 }
 
 Bytes HmacKey::mac(ByteView message) const {
-  Sha256 inner = inner_;
-  inner.update(message);
-  Bytes inner_digest = inner.finish();
-
-  Sha256 outer = outer_;
-  outer.update(inner_digest);
-  return outer.finish();
+  Bytes tag(kTagSize);
+  mac_into(message, std::span<std::uint8_t, kTagSize>(tag.data(), kTagSize));
+  return tag;
 }
 
 Bytes HmacKey::mac_trunc(ByteView message, std::size_t n) const {
@@ -42,10 +60,11 @@ Bytes HmacKey::mac_trunc(ByteView message, std::size_t n) const {
 
 std::array<Bytes, 4> HmacKey::mac4(
     const std::array<ByteView, 4>& messages) const {
-  std::array<Bytes, 4> inner = sha256_multi_resume(inner_, messages);
+  std::array<Bytes, 4> inner =
+      sha256_multi_resume(Sha256(inner_, kBlock), messages);
   std::array<ByteView, 4> inner_views;
   for (std::size_t i = 0; i < 4; ++i) inner_views[i] = inner[i];
-  return sha256_multi_resume(outer_, inner_views);
+  return sha256_multi_resume(Sha256(outer_, kBlock), inner_views);
 }
 
 std::array<bool, 4> HmacKey::verify4(
@@ -61,7 +80,8 @@ std::array<bool, 4> HmacKey::verify4(
 }
 
 bool HmacKey::verify(ByteView message, ByteView tag) const {
-  Bytes expected = mac(message);
+  std::array<std::uint8_t, kTagSize> expected;
+  mac_into(message, expected);
   if (tag.size() > expected.size() || tag.empty()) return false;
   // Accept truncated tags of the caller-provided length.
   return ct_equal(ByteView(expected.data(), tag.size()), tag);

@@ -5,9 +5,13 @@
 //
 // HmacKey precomputes the ipad/opad compression states once per key, so a
 // long-lived key (alive messages, TESLA per-interval MAC keys) pays the two
-// key-block compressions once instead of on every MAC. The free functions
-// are one-shot wrappers over it.
+// key-block compressions once instead of on every MAC. Building a key,
+// mac_into() and verify() work in stack buffers: no heap allocation. The
+// free functions are one-shot wrappers over it.
 #pragma once
+
+#include <array>
+#include <span>
 
 #include "common/bytes.h"
 #include "crypto/sha256.h"
@@ -17,10 +21,14 @@ namespace mykil::crypto {
 /// A keyed HMAC-SHA256 instance: build once, MAC many messages.
 class HmacKey {
  public:
+  static constexpr std::size_t kTagSize = Sha256::kDigestSize;
+
   /// Any key length; keys longer than one SHA-256 block are hashed first,
   /// per the RFC.
   explicit HmacKey(ByteView key);
 
+  /// HMAC-SHA256(key, message) into `out`.
+  void mac_into(ByteView message, std::span<std::uint8_t, kTagSize> out) const;
   /// HMAC-SHA256(key, message): a 32-byte tag.
   [[nodiscard]] Bytes mac(ByteView message) const;
   /// First `n` bytes of the tag (n >= 32 returns the full tag).
@@ -41,8 +49,9 @@ class HmacKey {
       const std::array<ByteView, 4>& tags) const;
 
  private:
-  Sha256 inner_;  ///< state after absorbing key ^ ipad
-  Sha256 outer_;  ///< state after absorbing key ^ opad
+  using Midstate = std::array<std::uint32_t, 8>;
+  Midstate inner_;  ///< compression state after absorbing key ^ ipad
+  Midstate outer_;  ///< compression state after absorbing key ^ opad
 };
 
 /// Compute HMAC-SHA256(key, message). Returns a 32-byte tag.

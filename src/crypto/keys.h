@@ -1,7 +1,10 @@
 // Typed 128-bit symmetric key, the unit of all group/area/auxiliary keys.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <string_view>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -11,30 +14,41 @@
 namespace mykil::crypto {
 
 /// A 128-bit symmetric key (the paper's choice for area and auxiliary keys).
-/// Value type with strict size invariant.
+/// A 16-byte value: copying, deriving and comparing one never touches the
+/// heap, and a key tree node or held path key stores it inline.
 class SymmetricKey {
  public:
   static constexpr std::size_t kSize = 16;
 
   /// All-zero key; only useful as a placeholder before assignment.
-  SymmetricKey() : key_(kSize, 0) {}
+  SymmetricKey() = default;
 
-  explicit SymmetricKey(Bytes raw) : key_(std::move(raw)) {
-    if (key_.size() != kSize) throw CryptoError("SymmetricKey must be 16 bytes");
+  /// Throws CryptoError unless `raw` is exactly kSize bytes.
+  explicit SymmetricKey(ByteView raw) {
+    if (raw.size() != kSize) throw CryptoError("SymmetricKey must be 16 bytes");
+    std::copy(raw.begin(), raw.end(), key_.begin());
   }
 
-  static SymmetricKey random(Prng& prng) { return SymmetricKey(prng.bytes(kSize)); }
+  static SymmetricKey random(Prng& prng) {
+    SymmetricKey k;
+    prng.fill(k.key_);
+    return k;
+  }
 
   /// Derive a subkey bound to a purpose label (e.g. separating the cipher
-  /// key from the MAC key inside sym_seal).
+  /// key from the MAC key inside sym_seal): SHA-256(key || purpose), cut to
+  /// kSize bytes.
   [[nodiscard]] SymmetricKey derive(std::string_view purpose) const {
-    Bytes material = Sha256::digest(concat(key_, to_bytes(purpose)));
-    material.resize(kSize);
-    return SymmetricKey(std::move(material));
+    Sha256 h;
+    h.update(key_);
+    h.update(ByteView(reinterpret_cast<const std::uint8_t*>(purpose.data()),
+                      purpose.size()));
+    std::array<std::uint8_t, Sha256::kDigestSize> material;
+    h.finish_into(material);
+    return SymmetricKey(ByteView(material.data(), kSize));
   }
 
   [[nodiscard]] ByteView bytes() const { return key_; }
-  [[nodiscard]] const Bytes& raw() const { return key_; }
 
   /// Short stable identifier for logging/assertions (not secret-preserving).
   [[nodiscard]] std::uint64_t fingerprint() const {
@@ -49,7 +63,7 @@ class SymmetricKey {
   }
 
  private:
-  Bytes key_;
+  std::array<std::uint8_t, kSize> key_{};
 };
 
 }  // namespace mykil::crypto

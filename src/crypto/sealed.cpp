@@ -56,7 +56,7 @@ Bytes pk_decrypt(const RsaPrivateKey& priv, ByteView ciphertext) {
     case PkMode::kHybrid: {
       if (rest.size() < k) throw CryptoError("hybrid ciphertext too short");
       Bytes key_raw = rsa_decrypt(priv, ByteView(rest.data(), k));
-      SymmetricKey onetime{std::move(key_raw)};
+      SymmetricKey onetime(key_raw);
       return sym_open(onetime, ByteView(rest.data() + k, rest.size() - k));
     }
   }

@@ -223,6 +223,13 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
 
 Sha256::Sha256() : state_(kInitialState), buffer_{} {}
 
+Sha256::Sha256(const std::array<std::uint32_t, 8>& midstate,
+               std::uint64_t absorbed)
+    : state_(midstate), buffer_{}, total_len_(absorbed) {
+  if (absorbed % kBlockSize != 0)
+    throw CryptoError("Sha256 resumed off a block boundary");
+}
+
 void Sha256::update(ByteView data) {
   if (finished_) throw CryptoError("Sha256::update after finish");
   total_len_ += data.size();
@@ -251,27 +258,35 @@ void Sha256::update(ByteView data) {
 }
 
 Bytes Sha256::finish() {
+  Bytes out(kDigestSize);
+  finish_into(std::span<std::uint8_t, kDigestSize>(out.data(), kDigestSize));
+  return out;
+}
+
+void Sha256::finish_into(std::span<std::uint8_t, kDigestSize> out) {
   if (finished_) throw CryptoError("Sha256::finish called twice");
   finished_ = true;
 
-  std::uint64_t bit_len = total_len_ * 8;
-  // Padding: 0x80, zeros, 8-byte big-endian bit length.
-  std::array<std::uint8_t, kBlockSize * 2> pad{};
-  std::size_t pad_len = 0;
-  pad[pad_len++] = 0x80;
-  std::size_t rem = (buffer_len_ + 1) % kBlockSize;
-  std::size_t zeros = (rem <= 56) ? 56 - rem : (56 + kBlockSize) - rem;
-  pad_len += zeros;
-  for (int shift = 56; shift >= 0; shift -= 8)
-    pad[pad_len++] = static_cast<std::uint8_t>(bit_len >> shift);
+  // Pad in the block buffer: 0x80, zeros, and the 8-byte big-endian bit
+  // length closing the last block, which is a second one when the length
+  // no longer fits.
+  const std::uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > kBlockSize - 8) {
+    std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_),
+              buffer_.end(), 0);
+    process_blocks(buffer_.data(), 1);
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + static_cast<std::ptrdiff_t>(buffer_len_),
+            buffer_.end() - 8, 0);
+  store_be32(buffer_.data() + kBlockSize - 8,
+             static_cast<std::uint32_t>(bit_len >> 32));
+  store_be32(buffer_.data() + kBlockSize - 4,
+             static_cast<std::uint32_t>(bit_len));
+  process_blocks(buffer_.data(), 1);
 
-  finished_ = false;  // allow the update below
-  update(ByteView(pad.data(), pad_len));
-  finished_ = true;
-
-  Bytes out(kDigestSize);
   for (std::size_t i = 0; i < 8; ++i) store_be32(out.data() + i * 4, state_[i]);
-  return out;
 }
 
 Bytes Sha256::digest(ByteView data) {

@@ -13,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "common/bytes.h"
 
@@ -32,10 +33,16 @@ class Sha256 {
   static constexpr std::size_t kBlockSize = 64;
 
   Sha256();
+  /// Resume from a midstate() taken after `absorbed` bytes, a whole number
+  /// of blocks (throws CryptoError otherwise), as if those bytes had just
+  /// been absorbed. HmacKey keeps its two pad blocks this way.
+  Sha256(const std::array<std::uint32_t, 8>& midstate, std::uint64_t absorbed);
 
   void update(ByteView data);
   /// Finalize and return the 32-byte digest. May be called once.
   Bytes finish();
+  /// finish() into a caller buffer: the same digest, no allocation.
+  void finish_into(std::span<std::uint8_t, kDigestSize> out);
 
   /// One-shot convenience.
   static Bytes digest(ByteView data);

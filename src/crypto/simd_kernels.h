@@ -31,11 +31,11 @@ void sha256_compress_shani(std::uint32_t* state, const std::uint8_t* data,
 void sha256_compress4_avx2(std::uint32_t (*states)[8],
                            const std::uint8_t* const blocks[4]);
 
-/// Speck128-CTR keystream XOR: process a multiple of the kernel's lane
-/// width out of `full_blocks` whole 16-byte blocks, XORing the keystream
-/// for counters [counter, counter+n) into `data`. Returns the number of
-/// blocks processed (callers finish the remainder with the scalar code).
-/// `rk` is the 32-entry round-key schedule.
+/// Speck128-CTR keystream XOR: process the largest multiple of 4 out of
+/// `full_blocks` whole 16-byte blocks, XORing the keystream for counters
+/// [counter, counter+n) into `data`. Returns the number of blocks processed
+/// (callers finish the remainder with the scalar code). `rk` is the
+/// 32-entry round-key schedule.
 std::size_t speck_ctr_xor_avx2(const std::uint64_t* rk, std::uint64_t nonce,
                                std::uint64_t counter, std::uint8_t* data,
                                std::size_t full_blocks);

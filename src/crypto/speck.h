@@ -45,10 +45,11 @@ class Speck128 {
 
   /// XOR the CTR keystream for counters [counter, counter + ceil(len/16))
   /// into `data` in place (encrypt == decrypt). This is the dispatched hot
-  /// path: whole blocks run 8 (AVX2) or 4 (SSE2) counter lanes per
-  /// iteration when the CPU allows (crypto/cpu_features.h), with the
-  /// scalar loop as the portable fallback, tail handler, and correctness
-  /// oracle. Keystream bytes are bit-identical across all paths; the
+  /// path: whole blocks run 8 (AVX2, then a last run of 4) or 4 (SSE2)
+  /// counter lanes per iteration when the CPU allows
+  /// (crypto/cpu_features.h), with the scalar loop as the portable
+  /// fallback, tail handler, and correctness oracle. Keystream bytes are
+  /// bit-identical across all paths; the
   /// counter is a wrapping uint64, exercised across the 2^32 block
   /// boundary by crypto_simd_test.
   void ctr_xor(std::uint64_t nonce, std::uint64_t counter, std::uint8_t* data,

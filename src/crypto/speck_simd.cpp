@@ -5,7 +5,9 @@
 // rounds on N independent (x, y) word pairs, so a lane is simply one CTR
 // block. The kernels below keep two vectors of lanes in flight (8 blocks
 // for AVX2, 4 for SSE2) — like the scalar ctr_block2, the extra chains
-// hide the serial add->rotate->xor latency of a single block.
+// hide the serial add->rotate->xor latency of a single block. AVX2 then
+// takes a last run of 4 blocks on one vector: a 64-byte data payload is
+// exactly 4 blocks, and one 4-lane chain still beats two scalar pairs.
 //
 // Lane layout: y-vector lanes hold the low output words (the nonce input),
 // x-vector lanes hold the counters; lane i encrypts counter+i. The counter
@@ -54,12 +56,25 @@ namespace {
     (y) = _mm_xor_si128((y), (x));                          \
   } while (0)
 
+// Lanes hold (lo=y, hi=x) per block; interleave 4 of them back to the
+// serial lo0,hi0,lo1,hi1,... keystream order and XOR into the data.
+__attribute__((target("avx2"))) inline void xor_4_blocks(__m256i* p,
+                                                          __m256i y,
+                                                          __m256i x) {
+  const __m256i t0 = _mm256_unpacklo_epi64(y, x);               // b0 b2
+  const __m256i t1 = _mm256_unpackhi_epi64(y, x);               // b1 b3
+  const __m256i ks0 = _mm256_permute2x128_si256(t0, t1, 0x20);  // b0 b1
+  const __m256i ks1 = _mm256_permute2x128_si256(t0, t1, 0x31);  // b2 b3
+  _mm256_storeu_si256(p + 0, _mm256_xor_si256(_mm256_loadu_si256(p + 0), ks0));
+  _mm256_storeu_si256(p + 1, _mm256_xor_si256(_mm256_loadu_si256(p + 1), ks1));
+}
+
 }  // namespace
 
 __attribute__((target("avx2"))) std::size_t speck_ctr_xor_avx2(
     const std::uint64_t* rk, std::uint64_t nonce, std::uint64_t counter,
     std::uint8_t* data, std::size_t full_blocks) {
-  const std::size_t done = full_blocks & ~std::size_t{7};
+  const std::size_t done = full_blocks & ~std::size_t{3};
   if (done == 0) return 0;
 
   const __m256i rot8 = _mm256_setr_epi8(
@@ -69,7 +84,8 @@ __attribute__((target("avx2"))) std::size_t speck_ctr_xor_avx2(
   const __m256i lane_off1 = _mm256_setr_epi64x(4, 5, 6, 7);
   const __m256i nv = _mm256_set1_epi64x(static_cast<long long>(nonce));
 
-  for (std::size_t b = 0; b < done; b += 8) {
+  std::size_t b = 0;
+  for (; b + 8 <= done; b += 8) {
     const __m256i cv = _mm256_set1_epi64x(static_cast<long long>(counter + b));
     __m256i x0 = _mm256_add_epi64(cv, lane_off0);
     __m256i x1 = _mm256_add_epi64(cv, lane_off1);
@@ -80,21 +96,19 @@ __attribute__((target("avx2"))) std::size_t speck_ctr_xor_avx2(
       MYKIL_SPECK_ROUND_AVX2(x0, y0, kv, rot8);
       MYKIL_SPECK_ROUND_AVX2(x1, y1, kv, rot8);
     }
-    // Lanes hold (lo=y, hi=x) per block; interleave back to the serial
-    // lo0,hi0,lo1,hi1,... keystream order and XOR into the data.
     auto* p = reinterpret_cast<__m256i*>(data + b * 16);
-    const __m256i t0 = _mm256_unpacklo_epi64(y0, x0);  // b0 b2
-    const __m256i t1 = _mm256_unpackhi_epi64(y0, x0);  // b1 b3
-    const __m256i t2 = _mm256_unpacklo_epi64(y1, x1);  // b4 b6
-    const __m256i t3 = _mm256_unpackhi_epi64(y1, x1);  // b5 b7
-    const __m256i ks0 = _mm256_permute2x128_si256(t0, t1, 0x20);  // b0 b1
-    const __m256i ks1 = _mm256_permute2x128_si256(t0, t1, 0x31);  // b2 b3
-    const __m256i ks2 = _mm256_permute2x128_si256(t2, t3, 0x20);  // b4 b5
-    const __m256i ks3 = _mm256_permute2x128_si256(t2, t3, 0x31);  // b6 b7
-    _mm256_storeu_si256(p + 0, _mm256_xor_si256(_mm256_loadu_si256(p + 0), ks0));
-    _mm256_storeu_si256(p + 1, _mm256_xor_si256(_mm256_loadu_si256(p + 1), ks1));
-    _mm256_storeu_si256(p + 2, _mm256_xor_si256(_mm256_loadu_si256(p + 2), ks2));
-    _mm256_storeu_si256(p + 3, _mm256_xor_si256(_mm256_loadu_si256(p + 3), ks3));
+    xor_4_blocks(p, y0, x0);
+    xor_4_blocks(p + 2, y1, x1);
+  }
+  if (b < done) {  // one run of 4 blocks left
+    const __m256i cv = _mm256_set1_epi64x(static_cast<long long>(counter + b));
+    __m256i x0 = _mm256_add_epi64(cv, lane_off0);
+    __m256i y0 = nv;
+    for (int r = 0; r < 32; ++r) {
+      const __m256i kv = _mm256_set1_epi64x(static_cast<long long>(rk[r]));
+      MYKIL_SPECK_ROUND_AVX2(x0, y0, kv, rot8);
+    }
+    xor_4_blocks(reinterpret_cast<__m256i*>(data + b * 16), y0, x0);
   }
   return done;
 }

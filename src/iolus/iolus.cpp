@@ -179,9 +179,9 @@ void Gsa::handle_uplink_message(const net::Message& msg) {
       WireReader ir(inner);
       uplink_->parent_subgroup = ir.u32();
       uplink_->pairwise =
-          crypto::SymmetricKey(ir.raw(crypto::SymmetricKey::kSize));
+          crypto::SymmetricKey(ir.take(crypto::SymmetricKey::kSize));
       uplink_->parent_subgroup_key =
-          crypto::SymmetricKey(ir.raw(crypto::SymmetricKey::kSize));
+          crypto::SymmetricKey(ir.take(crypto::SymmetricKey::kSize));
       ir.expect_done();
       network().join_group(uplink_->parent_subgroup, id());
       uplink_->ready = true;
@@ -192,7 +192,7 @@ void Gsa::handle_uplink_message(const net::Message& msg) {
                                     uplink_->prev_parent_subgroup_key, r.bytes());
       if (raw) {
         uplink_->prev_parent_subgroup_key = uplink_->parent_subgroup_key;
-        uplink_->parent_subgroup_key = crypto::SymmetricKey(std::move(*raw));
+        uplink_->parent_subgroup_key = crypto::SymmetricKey(*raw);
       }
       break;
     }
@@ -200,7 +200,7 @@ void Gsa::handle_uplink_message(const net::Message& msg) {
       try {
         Bytes raw = crypto::sym_open(uplink_->pairwise, r.bytes());
         uplink_->prev_parent_subgroup_key = uplink_->parent_subgroup_key;
-        uplink_->parent_subgroup_key = crypto::SymmetricKey(std::move(raw));
+        uplink_->parent_subgroup_key = crypto::SymmetricKey(raw);
       } catch (const AuthError&) {
         // Sealed for someone else (e.g. our own subgroup's member reading a
         // different pairwise key) — ignore.
@@ -303,8 +303,8 @@ void IolusMember::dispatch(const net::Message& msg) {
       r.expect_done();
       WireReader ir(inner);
       subgroup_ = ir.u32();
-      pairwise_ = crypto::SymmetricKey(ir.raw(crypto::SymmetricKey::kSize));
-      subgroup_key_ = crypto::SymmetricKey(ir.raw(crypto::SymmetricKey::kSize));
+      pairwise_ = crypto::SymmetricKey(ir.take(crypto::SymmetricKey::kSize));
+      subgroup_key_ = crypto::SymmetricKey(ir.take(crypto::SymmetricKey::kSize));
       ir.expect_done();
       network().join_group(subgroup_, id());
       joined_ = true;
@@ -315,7 +315,7 @@ void IolusMember::dispatch(const net::Message& msg) {
       auto raw = open_with_fallback(subgroup_key_, prev_subgroup_key_, r.bytes());
       if (raw) {
         prev_subgroup_key_ = subgroup_key_;
-        subgroup_key_ = crypto::SymmetricKey(std::move(*raw));
+        subgroup_key_ = crypto::SymmetricKey(*raw);
       }
       break;
     }
@@ -324,7 +324,7 @@ void IolusMember::dispatch(const net::Message& msg) {
       try {
         Bytes raw = crypto::sym_open(pairwise_, r.bytes());
         prev_subgroup_key_ = subgroup_key_;
-        subgroup_key_ = crypto::SymmetricKey(std::move(raw));
+        subgroup_key_ = crypto::SymmetricKey(raw);
       } catch (const AuthError&) {
         // Not for us (we never see others' unicasts, but be robust).
       }

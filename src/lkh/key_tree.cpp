@@ -138,10 +138,19 @@ KeyTree::JoinOutcome KeyTree::join(MemberId m) {
     bump_counters(leaf, +1);
     out.leaf = leaf;
   } else {
-    // Tree full: split the shallowest, leftmost occupied leaf (III-C).
-    auto it = occupied_leaves_.begin();
-    NodeIndex split_node = it->second;
-    occupied_leaves_.erase(it);
+    // Tree full: split the shallowest, leftmost occupied leaf (III-C). A
+    // pruned tree its last member left has none; it splits its shallowest
+    // vacated leaf, and the newcomer takes a fresh child there.
+    NodeIndex split_node = kNoNodeIndex;
+    if (!occupied_leaves_.empty()) {
+      split_node = occupied_leaves_.begin()->second;
+      occupied_leaves_.erase(occupied_leaves_.begin());
+    } else {
+      for (NodeIndex n = 0; n < nodes_.size(); ++n)
+        if (is_leaf(n) && (split_node == kNoNodeIndex ||
+                           nodes_[n].depth < nodes_[split_node].depth))
+          split_node = n;
+    }
 
     MemberId moved = nodes_[split_node].member;
     nodes_[split_node].member = kNoMember;
@@ -158,28 +167,32 @@ KeyTree::JoinOutcome KeyTree::join(MemberId m) {
       nodes_[split_node].children.push_back(first_child + c);
     }
 
-    // Child 0: the moved member. Child 1: the newcomer. Rest: vacant.
+    // Child 0: the moved member, if any. Child 1: the newcomer. Rest:
+    // vacant.
     NodeIndex moved_leaf = first_child;
     NodeIndex new_leaf = first_child + 1;
-    nodes_[moved_leaf].member = moved;
     nodes_[new_leaf].member = m;
-    leaf_of_[moved] = moved_leaf;
     leaf_of_[m] = new_leaf;
-    occupied_leaves_.insert({child_depth, moved_leaf});
     occupied_leaves_.insert({child_depth, new_leaf});
     for (unsigned c = 2; c < config_.fanout; ++c)
       free_leaves_.insert({child_depth, first_child + c});
-
-    // The moved member kept its subtree count at split_node; only re-home
-    // the counter one level down and count the newcomer along the path.
-    nodes_[moved_leaf].subtree_members = 1;
     bump_counters(new_leaf, +1);
 
+    if (moved == kNoMember) {
+      free_leaves_.insert({child_depth, moved_leaf});
+    } else {
+      nodes_[moved_leaf].member = moved;
+      leaf_of_[moved] = moved_leaf;
+      occupied_leaves_.insert({child_depth, moved_leaf});
+      // The moved member kept its subtree count at split_node; re-home
+      // the counter one level down.
+      nodes_[moved_leaf].subtree_members = 1;
+      out.split = true;
+      out.split_member = moved;
+      out.split_member_update.push_back(
+          {moved_leaf, nodes_[moved_leaf].version, nodes_[moved_leaf].key});
+    }
     out.leaf = new_leaf;
-    out.split = true;
-    out.split_member = moved;
-    out.split_member_update.push_back(
-        {moved_leaf, nodes_[moved_leaf].version, nodes_[moved_leaf].key});
   }
 
   out.member_path = path_of_leaf(out.leaf);
@@ -314,7 +327,7 @@ KeyTree KeyTree::deserialize(ByteView data, crypto::Prng prng) {
       throw WireError("parent index out of range");
     for (NodeIndex c : n.children)
       if (c >= count) throw WireError("child index out of range");
-    n.key = crypto::SymmetricKey(r.raw(crypto::SymmetricKey::kSize));
+    n.key = crypto::SymmetricKey(r.take(crypto::SymmetricKey::kSize));
     n.version = r.u64();
     n.member = r.u64();
     n.depth = r.u16();

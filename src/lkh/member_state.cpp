@@ -37,7 +37,7 @@ std::size_t MemberKeyState::apply(const RekeyMessage& msg) {
       continue;  // already current (duplicate delivery)
     Bytes raw = crypto::sym_open(enc_it->second.key, e.box);
     if (e.target == 0 && tgt_it != keys_.end()) remember_root(tgt_it->second);
-    keys_[e.target] = {crypto::SymmetricKey(std::move(raw)), e.version};
+    keys_[e.target] = {crypto::SymmetricKey(raw), e.version};
     ++updated;
   }
   return updated;
@@ -60,10 +60,10 @@ Bytes MemberKeyState::serialize() const {
     const Held& h = keys_.at(node);
     w.u32(node);
     w.u64(h.version);
-    w.bytes(h.key.raw());
+    w.bytes(h.key.bytes());
   }
   w.u8(prev_root_.has_value() ? 1 : 0);
-  if (prev_root_.has_value()) w.bytes(prev_root_->raw());
+  if (prev_root_.has_value()) w.bytes(prev_root_->bytes());
   return w.take();
 }
 
@@ -74,9 +74,9 @@ MemberKeyState MemberKeyState::deserialize(ByteView data) {
   for (std::uint32_t i = 0; i < n; ++i) {
     NodeIndex node = r.u32();
     std::uint64_t version = r.u64();
-    st.keys_[node] = {crypto::SymmetricKey(r.bytes()), version};
+    st.keys_[node] = {crypto::SymmetricKey(r.view()), version};
   }
-  if (r.u8() != 0) st.prev_root_ = crypto::SymmetricKey(r.bytes());
+  if (r.u8() != 0) st.prev_root_ = crypto::SymmetricKey(r.view());
   r.expect_done();
   return st;
 }

@@ -70,7 +70,7 @@ std::vector<PathKey> deserialize_path(ByteView data) {
     PathKey pk;
     pk.node = r.u32();
     pk.version = r.u64();
-    pk.key = crypto::SymmetricKey(r.raw(crypto::SymmetricKey::kSize));
+    pk.key = crypto::SymmetricKey(r.take(crypto::SymmetricKey::kSize));
     path.push_back(std::move(pk));
   }
   r.expect_done();

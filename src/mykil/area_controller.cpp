@@ -770,18 +770,21 @@ void AreaController::handle_data(const net::Message& msg,
                      msg.group == uplink_->seat.group();
   if (!from_own && !from_parent) return;
 
-  std::optional<Bytes> dk_raw =
-      from_own ? area_data_plane_.open(key_box, tree_->root_key(),
-                                       prev_area_key_)
+  // A box too long or short for one key is garbage, not a sign of a stale
+  // key: drop it without asking for a catch-up.
+  if (key_box.size() != crypto::SymmetricKey::kSize + crypto::kSealOverhead)
+    return;
+  std::optional<crypto::SymmetricKey> data_key =
+      from_own ? area_data_plane_.open_key(key_box, tree_->root_key(),
+                                           prev_area_key_)
                : uplink_->seat.open_data_key(key_box);
-  if (!dk_raw) {
+  if (!data_key) {
     // In our own area the usual cause is the sender racing a rotation —
     // drop. In the parent's area it can equally be US holding a stale
     // parent key; a catch-up resolves that.
     if (from_parent) request_uplink_recovery("undecryptable-data");
     return;
   }
-  crypto::SymmetricKey data_key(std::move(*dk_raw));
 
   auto build = [&](const Bytes& resealed) {
     return wrap(Data{.msg_id = msg_id, .sender = sender, .key_box = resealed,
@@ -791,13 +794,13 @@ void AreaController::handle_data(const net::Message& msg,
   if (from_own && uplink_ && uplink_->ready) {
     network().multicast(
         id(), uplink_->seat.group(), kLabelData,
-        build(uplink_->seat.seal_data_key(data_key.bytes(), prng_)));
+        build(uplink_->seat.seal_data_key(data_key->bytes(), prng_)));
     uplink_->seat.sent(network().now());
     ++counters_.data_forwards;
   }
   if (from_parent) {
     multicast_area(kLabelData, build(area_data_plane_.get(tree_->root_key())
-                                         .seal(data_key.bytes(), prng_)));
+                                         .seal(data_key->bytes(), prng_)));
     ++counters_.data_forwards;
   }
 }

@@ -105,10 +105,13 @@ class AreaSeat {
                                     crypto::Prng& prng) const {
     return data_plane_.get(keys_.group_key()).seal(data_key, prng);
   }
-  /// A key box opened under the group key, else the one before it: a
-  /// sender may race a rotation. nullopt if neither opens it.
-  [[nodiscard]] std::optional<Bytes> open_data_key(ByteView box) const {
-    return data_plane_.open(box, keys_.group_key(), keys_.previous_group_key());
+  /// A data packet's K_d, its key box opened under the group key, else the
+  /// one before it: a sender may race a rotation. nullopt if neither opens
+  /// it or it holds no key. Allocates nothing once both contexts are built.
+  [[nodiscard]] std::optional<crypto::SymmetricKey> open_data_key(
+      ByteView box) const {
+    return data_plane_.open_key(box, keys_.group_key(),
+                                keys_.previous_group_key());
   }
 
   /// Follow a TakeOver (Section IV-C) that is fresh — a replay must not

@@ -300,14 +300,14 @@ void Member::handle_data(const net::Message& msg, const EnvelopeView& env) {
 
 std::optional<Bytes> Member::try_open(ByteView key_box,
                                       ByteView payload_box) const {
-  std::optional<Bytes> data_key = seat_.open_data_key(key_box);
-  if (!data_key) return std::nullopt;
-  try {
-    return crypto::sym_open(crypto::SymmetricKey(std::move(*data_key)),
-                            payload_box);
-  } catch (const Error&) {
+  std::optional<crypto::SymmetricKey> data_key = seat_.open_data_key(key_box);
+  if (!data_key || payload_box.size() < crypto::kSealOverhead)
     return std::nullopt;
-  }
+  // K_d seals one packet: open it once, straight into the bytes we keep.
+  Bytes plain(payload_box.size() - crypto::kSealOverhead);
+  if (!crypto::DataPlaneKey(*data_key).open_into(payload_box, plain))
+    return std::nullopt;
+  return plain;
 }
 
 void Member::retry_held(bool recovered) {

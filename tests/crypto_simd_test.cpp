@@ -9,6 +9,8 @@
 // and turns the same tests into a scalar self-consistency check.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <vector>
 
@@ -334,6 +336,124 @@ TEST(DataPlaneSimd, Open4IsolatesTamperedSlot) {
   EXPECT_TRUE(r.plaintexts[1].empty());
   EXPECT_EQ(r.plaintexts[2], msgs[2]);
   EXPECT_EQ(r.plaintexts[3], msgs[3]);
+}
+
+// The allocation-free entry points of the receive path against the
+// bytes they replace: finish_into, mac_into and the stack verify, derive,
+// open_into. Like the rest of this file they run in both dispatch modes.
+TEST(HeapFree, FinishIntoMatchesFinish) {
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    const Bytes msg = pattern(len, 0x11);
+    Sha256 a, b;
+    a.update(msg);
+    b.update(msg);
+    std::array<std::uint8_t, Sha256::kDigestSize> out;
+    b.finish_into(out);
+    ASSERT_EQ(Bytes(out.begin(), out.end()), a.finish()) << len;
+  }
+}
+
+/// HMAC-SHA256 straight from RFC 2104's definition, over one-shot digests.
+Bytes hmac_reference(ByteView key, ByteView msg) {
+  Bytes k(Sha256::kBlockSize, 0);
+  const Bytes hashed = key.size() > k.size() ? Sha256::digest(key) : Bytes();
+  const ByteView kv = key.size() > k.size() ? ByteView(hashed) : key;
+  std::copy(kv.begin(), kv.end(), k.begin());
+  Bytes ipad = k, opad = k;
+  for (std::size_t i = 0; i < k.size(); ++i) {
+    ipad[i] ^= 0x36;
+    opad[i] ^= 0x5c;
+  }
+  return Sha256::digest(concat(opad, Sha256::digest(concat(ipad, msg))));
+}
+
+TEST(HeapFree, MacIntoAndVerifyMatchOneShotHmac) {
+  for (std::size_t key_len = 0; key_len <= 100; ++key_len) {
+    const Bytes key = pattern(key_len, 0x5C);
+    const HmacKey k(key);
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const Bytes msg = pattern(len, static_cast<std::uint8_t>(key_len));
+      const Bytes want = hmac_sha256(key, msg);
+      ASSERT_EQ(want, hmac_reference(key, msg)) << key_len << "/" << len;
+      std::array<std::uint8_t, HmacKey::kTagSize> got;
+      k.mac_into(msg, got);
+      ASSERT_EQ(Bytes(got.begin(), got.end()), want) << key_len << "/" << len;
+      ASSERT_TRUE(k.verify(msg, want));
+      ASSERT_TRUE(k.verify(msg, ByteView(want.data(), 16)));
+      Bytes forged = want;
+      forged[len % forged.size()] ^= 0x01;
+      ASSERT_FALSE(k.verify(msg, forged)) << key_len << "/" << len;
+      ASSERT_FALSE(k.verify(msg, ByteView{}));
+    }
+  }
+}
+
+// SHA-256(key || purpose) cut to 16 bytes, recorded before derive() hashed
+// on the stack.
+TEST(HeapFree, DeriveKnownAnswers) {
+  const SymmetricKey key(test_key());
+  EXPECT_EQ(hex_encode(key.derive("enc").bytes()),
+            "8e00574fe20eba0c1ee082e2b312c257");
+  EXPECT_EQ(hex_encode(key.derive("mac").bytes()),
+            "387f13933bfa4730bdb2b63697153b21");
+  EXPECT_EQ(hex_encode(key.derive("ticket").bytes()),
+            "78e76931db59c1455c079b237ca28084");
+}
+
+TEST(DataPlaneOpenInto, MatchesOpenAndRejectsWrongLengths) {
+  const DataPlaneKey dpk{SymmetricKey(test_key())};
+  Prng prng(7);
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    const Bytes msg = pattern(len, 0x33);
+    const Bytes box = dpk.seal(msg, prng);
+    Bytes out(len, 0xEE);
+    ASSERT_TRUE(dpk.open_into(box, out)) << len;
+    ASSERT_EQ(out, msg) << len;
+    ASSERT_EQ(dpk.open(box), msg) << len;
+
+    // A buffer a byte too long or too short, or a truncated box: rejected,
+    // and the buffer is left as it was.
+    const Bytes untouched(len + 1, 0xEE);
+    Bytes longer = untouched;
+    EXPECT_FALSE(dpk.open_into(box, longer)) << len;
+    EXPECT_EQ(longer, untouched);
+    if (len > 0) {
+      Bytes shorter(len - 1, 0xEE);
+      EXPECT_FALSE(dpk.open_into(box, shorter)) << len;
+      EXPECT_EQ(shorter, Bytes(len - 1, 0xEE));
+    }
+    const ByteView truncated(box.data(), box.size() - 1);
+    Bytes fitted(len == 0 ? 0 : len - 1, 0xEE);
+    EXPECT_FALSE(dpk.open_into(truncated, out)) << len;
+    EXPECT_FALSE(dpk.open_into(truncated, fitted)) << len;
+    EXPECT_EQ(out, msg);
+    EXPECT_EQ(fitted, Bytes(fitted.size(), 0xEE));
+  }
+  // Boxes shorter than the nonce and tag hold no plaintext at all.
+  const Bytes box = dpk.seal(pattern(4, 1), prng);
+  Bytes none;
+  for (std::size_t cut = 0; cut < kSealOverhead; ++cut)
+    EXPECT_FALSE(dpk.open_into(ByteView(box.data(), cut), none)) << cut;
+}
+
+// Part of the `decoders` ctest label: a flip anywhere in a data packet's
+// key box or payload box — nonce, ciphertext or tag — must be rejected
+// before a byte is decrypted into the receiver's buffer.
+TEST(DataPlaneOpenInto, RejectsEveryByteFlip) {
+  const DataPlaneKey dpk{SymmetricKey(test_key())};
+  Prng prng(11);
+  for (std::size_t len : {std::size_t{16}, std::size_t{64}}) {
+    const Bytes box = dpk.seal(pattern(len, 0x77), prng);
+    for (std::size_t i = 0; i < box.size(); ++i) {
+      for (int bit = 0; bit < 8; ++bit) {
+        Bytes flipped = box;
+        flipped[i] ^= static_cast<std::uint8_t>(1u << bit);
+        Bytes out(len, 0xEE);
+        ASSERT_FALSE(dpk.open_into(flipped, out)) << len << "@" << i << "." << bit;
+        ASSERT_EQ(out, Bytes(len, 0xEE)) << len << "@" << i << "." << bit;
+      }
+    }
+  }
 }
 
 TEST(CpuFeaturesApi, ImplNamesAndOverride) {

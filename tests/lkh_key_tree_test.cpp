@@ -144,6 +144,60 @@ TEST(KeyTree, PruneModeDoesNotReuseLeaves) {
   nt.check_invariants();
 }
 
+// Prune mode never reuses a vacated leaf, so once its last member leaves
+// the tree has no free leaf and no occupied one to split. The next join
+// must still find a fresh leaf with a fresh key.
+TEST(KeyTree, PruneModeJoinAfterTreeEmpties) {
+  KeyTree t = make_tree(4, /*prune=*/true);
+  const crypto::SymmetricKey first_leaf_key = t.join(1).member_path.back().key;
+  t.leave(1);
+  ASSERT_EQ(t.member_count(), 0u);
+
+  auto out = t.join(2);
+  t.check_invariants();
+  EXPECT_TRUE(t.contains(2));
+  EXPECT_NE(out.leaf, 0u);  // the vacated root leaf is not reused
+  EXPECT_FALSE(out.split);  // nobody was moved
+  EXPECT_FALSE(out.member_path.back().key == first_leaf_key);
+  EXPECT_TRUE(out.member_path.front().key == t.root_key());
+
+  auto next = t.join(3);
+  t.check_invariants();
+  EXPECT_EQ(t.member_count(), 2u);
+  EXPECT_FALSE(next.split);  // takes a spare sibling of member 2's leaf
+}
+
+// Random churn in prune mode that empties the tree again and again.
+class KeyTreePruneChurnProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(KeyTreePruneChurnProperty, ChurnThroughEmptyTreeKeepsInvariants) {
+  const unsigned fanout = GetParam();
+  KeyTree t = make_tree(fanout, /*prune=*/true);
+  crypto::Prng rng(fanout);
+  std::set<MemberId> present;
+  MemberId next = 0;
+  int emptied = 0;
+  for (int step = 0; step < 300; ++step) {
+    if (present.empty() || rng.uniform(100) < 45) {
+      auto out = t.join(next);
+      EXPECT_TRUE(out.member_path.front().key == t.root_key());
+      present.insert(next++);
+    } else {
+      auto it = present.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng.uniform(present.size())));
+      t.leave(*it);
+      present.erase(it);
+      if (present.empty()) ++emptied;
+    }
+    t.check_invariants();
+    ASSERT_EQ(t.member_count(), present.size()) << "step " << step;
+  }
+  EXPECT_GE(emptied, 5);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fanout, KeyTreePruneChurnProperty,
+                         ::testing::Values(2u, 4u));
+
 TEST(KeyTree, ReusedLeafGetsFreshKey) {
   KeyTree t = make_tree(4);
   for (MemberId m = 1; m <= 5; ++m) t.join(m);

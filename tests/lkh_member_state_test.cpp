@@ -52,7 +52,7 @@ TEST(MemberKeyState, ApplySkipsEntriesForOtherSubtrees) {
   foreign.target = 0;
   foreign.version = 2;
   foreign.encrypted_under = 4;
-  foreign.box = crypto::sym_seal(key(99), key(50).raw(), prng);
+  foreign.box = crypto::sym_seal(key(99), key(50).bytes(), prng);
   msg.entries.push_back(foreign);
   EXPECT_EQ(s.apply(msg), 0u);
   EXPECT_TRUE(s.group_key() == key(1));  // untouched
@@ -69,7 +69,7 @@ TEST(MemberKeyState, ApplyDecryptsUnderHeldChildKey) {
   e.target = 0;
   e.version = 2;
   e.encrypted_under = 3;
-  e.box = crypto::sym_seal(key(3), new_root.raw(), prng);
+  e.box = crypto::sym_seal(key(3), new_root.bytes(), prng);
   msg.entries.push_back(e);
   EXPECT_EQ(s.apply(msg), 1u);
   EXPECT_TRUE(s.group_key() == new_root);
@@ -85,7 +85,7 @@ TEST(MemberKeyState, ApplyIsIdempotentOnDuplicateDelivery) {
   e.target = 0;
   e.version = 2;
   e.encrypted_under = 0;  // rotation convention: sealed under previous self
-  e.box = crypto::sym_seal(key(1), key(2).raw(), prng);
+  e.box = crypto::sym_seal(key(1), key(2).bytes(), prng);
   msg.entries.push_back(e);
   EXPECT_EQ(s.apply(msg), 1u);
   EXPECT_EQ(s.apply(msg), 0u);  // duplicate: version already current
@@ -102,7 +102,7 @@ TEST(MemberKeyState, PreviousGroupKeyTracked) {
   e.target = 0;
   e.version = 2;
   e.encrypted_under = 0;
-  e.box = crypto::sym_seal(key(1), key(2).raw(), prng);
+  e.box = crypto::sym_seal(key(1), key(2).bytes(), prng);
   msg.entries.push_back(e);
   s.apply(msg);
   ASSERT_TRUE(s.previous_group_key().has_value());
@@ -118,7 +118,7 @@ TEST(MemberKeyState, TamperedEntryThrows) {
   e.target = 0;
   e.version = 2;
   e.encrypted_under = 0;
-  e.box = crypto::sym_seal(key(1), key(2).raw(), prng);
+  e.box = crypto::sym_seal(key(1), key(2).bytes(), prng);
   e.box[4] ^= 1;  // tamper
   msg.entries.push_back(e);
   EXPECT_THROW(s.apply(msg), AuthError);
