@@ -247,19 +247,18 @@ void BM_KeyTreeLeaveRekey(benchmark::State& state) {
 }
 BENCHMARK(BM_KeyTreeLeaveRekey)->Arg(1000)->Arg(100000);
 
-/// Wall-clock one function, `iters` times, and record ns/op. Returns the
-/// measured ns/op so throughput rows can derive MB/s from it.
+/// Wall-clock one function, `iters` times, and record ns/op, with the
+/// kernel that ran it unless `impl` is empty.
 template <typename Fn>
-double time_op(bench::BenchJson& json, const std::string& name, int iters,
-               Fn&& fn) {
+void time_op(bench::BenchJson& json, const std::string& name, int iters,
+             const char* impl, Fn&& fn) {
   auto start = std::chrono::steady_clock::now();
   for (int i = 0; i < iters; ++i) fn();
   auto end = std::chrono::steady_clock::now();
   double ns = static_cast<double>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count());
-  json.add(name, ns / iters, iters);
-  return ns / iters;
+  json.add(name, ns / iters, iters, 0, impl);
 }
 
 /// Like time_op, but the row also records MB/s over `bytes_per_op` and the
@@ -283,7 +282,7 @@ void time_op_tp(bench::BenchJson& json, const std::string& name, int iters,
 /// calls, so one descheduled stretch on a shared host does not move the row.
 template <typename Fn>
 void time_op_median(bench::BenchJson& json, const std::string& name,
-                    int rounds, int iters, Fn&& fn) {
+                    int rounds, int iters, const char* impl, Fn&& fn) {
   std::vector<double> per_op;
   for (int r = 0; r < rounds; ++r) {
     auto start = std::chrono::steady_clock::now();
@@ -296,7 +295,7 @@ void time_op_median(bench::BenchJson& json, const std::string& name,
                      iters);
   }
   std::sort(per_op.begin(), per_op.end());
-  json.add(name, per_op[per_op.size() / 2], rounds * iters);
+  json.add(name, per_op[per_op.size() / 2], rounds * iters, 0, impl);
 }
 
 /// Fixed chrono-timed pass over the crypto hot paths. Smoke mode shrinks
@@ -306,21 +305,24 @@ void run_json_suite(const std::string& path, bool smoke) {
   bench::BenchJson json("micro_crypto");
   const int reps = smoke ? 1 : 10;
 
+  // Montgomery and RSA rows record the product kernel that ran them
+  // (crypto::mont_impl_name); the legacy rows run no Montgomery product.
+  const char* mont = crypto::mont_impl_name();
   ModExpInputs in1024 = modexp_inputs(1024, 20);
   ModExpInputs in2048 = modexp_inputs(2048, 20);
-  time_op(json, "modexp_1024_legacy", smoke ? 1 : 5, [&] {
+  time_op(json, "modexp_1024_legacy", smoke ? 1 : 5, "", [&] {
     benchmark::DoNotOptimize(
         crypto::BigUInt::mod_exp(in1024.base, in1024.exp, in1024.mod));
   });
-  time_op(json, "modexp_1024_mont", smoke ? 1 : 5 * reps, [&] {
+  time_op(json, "modexp_1024_mont", smoke ? 1 : 5 * reps, mont, [&] {
     benchmark::DoNotOptimize(
         crypto::BigUInt::mod_exp_mont(in1024.base, in1024.exp, in1024.mod));
   });
-  time_op(json, "modexp_2048_legacy", smoke ? 1 : 3, [&] {
+  time_op(json, "modexp_2048_legacy", smoke ? 1 : 3, "", [&] {
     benchmark::DoNotOptimize(
         crypto::BigUInt::mod_exp(in2048.base, in2048.exp, in2048.mod));
   });
-  time_op(json, "modexp_2048_mont", smoke ? 1 : 3 * reps, [&] {
+  time_op(json, "modexp_2048_mont", smoke ? 1 : 3 * reps, mont, [&] {
     benchmark::DoNotOptimize(
         crypto::BigUInt::mod_exp_mont(in2048.base, in2048.exp, in2048.mod));
   });
@@ -332,49 +334,70 @@ void run_json_suite(const std::string& path, bool smoke) {
   Bytes msg = prng.bytes(30);
   Bytes ct = crypto::rsa_encrypt(kp.pub, msg, prng);
   Bytes sig = crypto::rsa_sign(kp.priv, msg);
-  time_op(json, rsa_tag + "_encrypt", reps, [&] {
+  time_op(json, rsa_tag + "_encrypt", reps, mont, [&] {
     benchmark::DoNotOptimize(crypto::rsa_encrypt(kp.pub, msg, prng));
   });
-  time_op(json, rsa_tag + "_decrypt", reps, [&] {
+  time_op(json, rsa_tag + "_decrypt", reps, mont, [&] {
     benchmark::DoNotOptimize(crypto::rsa_decrypt(kp.priv, ct));
   });
   crypto::rsa_set_blinding(true);
-  time_op(json, rsa_tag + "_decrypt_blinded", reps, [&] {
+  time_op(json, rsa_tag + "_decrypt_blinded", reps, mont, [&] {
     benchmark::DoNotOptimize(crypto::rsa_decrypt(kp.priv, ct));
   });
   crypto::rsa_set_blinding(false);
-  time_op(json, rsa_tag + "_sign", reps, [&] {
+  time_op(json, rsa_tag + "_sign", reps, mont, [&] {
     benchmark::DoNotOptimize(crypto::rsa_sign(kp.priv, msg));
   });
-  time_op(json, rsa_tag + "_verify", reps, [&] {
+  time_op(json, rsa_tag + "_verify", reps, mont, [&] {
     benchmark::DoNotOptimize(crypto::rsa_verify(kp.pub, msg, sig));
   });
   std::uint64_t keygen_seed = 40;
-  time_op(json, rsa_tag + "_keygen", smoke ? 1 : 3, [&] {
+  time_op(json, rsa_tag + "_keygen", smoke ? 1 : 3, mont, [&] {
     crypto::Prng kg(keygen_seed++);
     benchmark::DoNotOptimize(crypto::rsa_generate(rsa_bits, kg));
   });
 
   // The deployment size: every Mykil key in perfbench/ is RSA-768 with
   // e = 65537, and its per-layer crypto.rsa_{private,public}_us calibrate
-  // on these two operations. Smoke mode already records them above.
+  // on these operations. The _portable rows pin the portable kernels
+  // (set_force_scalar) so the ADX gain shows inside one file; the keygen
+  // row cycles 8 fixed seeds, so every round generates the same keys.
   if (!smoke) {
     crypto::Prng dprng(31);
     const crypto::RsaKeyPair dkp = crypto::rsa_generate(768, dprng);
     const Bytes dct = crypto::rsa_encrypt(dkp.pub, msg, dprng);
     const Bytes dsig = crypto::rsa_sign(dkp.priv, msg);
-    time_op_median(json, "rsa768_encrypt", 5, 4000, [&] {
+    time_op_median(json, "rsa768_encrypt", 5, 4000, mont, [&] {
       benchmark::DoNotOptimize(crypto::rsa_encrypt(dkp.pub, msg, dprng));
     });
-    time_op_median(json, "rsa768_decrypt", 5, 400, [&] {
+    time_op_median(json, "rsa768_decrypt", 5, 400, mont, [&] {
       benchmark::DoNotOptimize(crypto::rsa_decrypt(dkp.priv, dct));
     });
-    time_op_median(json, "rsa768_sign", 5, 400, [&] {
+    crypto::rsa_set_blinding(true);
+    time_op_median(json, "rsa768_decrypt_blinded", 5, 400, mont, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_decrypt(dkp.priv, dct));
+    });
+    crypto::rsa_set_blinding(false);
+    time_op_median(json, "rsa768_sign", 5, 400, mont, [&] {
       benchmark::DoNotOptimize(crypto::rsa_sign(dkp.priv, msg));
     });
-    time_op_median(json, "rsa768_verify", 5, 4000, [&] {
+    time_op_median(json, "rsa768_verify", 5, 4000, mont, [&] {
       benchmark::DoNotOptimize(crypto::rsa_verify(dkp.pub, msg, dsig));
     });
+    std::uint64_t keygen_n = 0;
+    time_op_median(json, "rsa768_keygen", 5, 8, mont, [&] {
+      crypto::Prng kg(40 + keygen_n++ % 8);
+      benchmark::DoNotOptimize(crypto::rsa_generate(768, kg));
+    });
+    crypto::set_force_scalar(true);
+    const char* portable = crypto::mont_impl_name();
+    time_op_median(json, "rsa768_sign_portable", 5, 400, portable, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_sign(dkp.priv, msg));
+    });
+    time_op_median(json, "rsa768_verify_portable", 5, 4000, portable, [&] {
+      benchmark::DoNotOptimize(crypto::rsa_verify(dkp.pub, msg, dsig));
+    });
+    crypto::set_force_scalar(false);
   }
 
   // Symmetric hot paths, for the satellite-optimization trajectory. The
@@ -399,12 +422,12 @@ void run_json_suite(const std::string& path, bool smoke) {
              crypto::sha256_multi_impl_name(), [&] {
                benchmark::DoNotOptimize(crypto::sha256_multi(lanes1k));
              });
-  time_op(json, "hmac_oneshot_64B", sym_reps, [&] {
+  time_op(json, "hmac_oneshot_64B", sym_reps, "", [&] {
     benchmark::DoNotOptimize(
         crypto::hmac_sha256(hkey, ByteView(data1k.data(), 64)));
   });
   crypto::HmacKey hk(hkey);
-  time_op(json, "hmac_keyed_64B", sym_reps, [&] {
+  time_op(json, "hmac_keyed_64B", sym_reps, "", [&] {
     benchmark::DoNotOptimize(hk.mac(ByteView(data1k.data(), 64)));
   });
   time_op_tp(json, "speck_ctr_4KiB", sym_reps, 4096,
@@ -430,7 +453,7 @@ void run_json_suite(const std::string& path, bool smoke) {
   const Bytes key_box = group_ctx.seal(data_key.bytes(), prng);
   const Bytes payload_box =
       crypto::sym_seal(data_key, ByteView(data1k.data(), 64), prng);
-  time_op_median(json, "data_open_64B", 5, sym_reps, [&] {
+  time_op_median(json, "data_open_64B", 5, sym_reps, "", [&] {
     std::array<std::uint8_t, crypto::SymmetricKey::kSize> raw;
     Bytes plain(64);
     bool ok = group_ctx.open_into(key_box, raw) &&
@@ -440,7 +463,7 @@ void run_json_suite(const std::string& path, bool smoke) {
     benchmark::DoNotOptimize(plain.data());
     benchmark::ClobberMemory();
   });
-  time_op_median(json, "sym_open_64B", 5, sym_reps, [&] {
+  time_op_median(json, "sym_open_64B", 5, sym_reps, "", [&] {
     benchmark::DoNotOptimize(crypto::sym_open(data_key, payload_box));
   });
 

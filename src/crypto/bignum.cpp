@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <memory>
 
 #include "common/error.h"
+#include "crypto/cpu_features.h"
+#include "crypto/modulus_cache.h"
+#include "crypto/mont_adx.h"
 #include "crypto/prng.h"
 
 namespace mykil::crypto {
@@ -353,48 +355,16 @@ namespace {
 /// Widest window mod_exp uses (a 32-entry table).
 constexpr std::size_t kMaxWindow = 5;
 
-/// One thread's least-recently-used set of Montgomery contexts (see
-/// MontgomeryContext::cached). Contexts live on the heap, so a returned
-/// reference survives the slot vector growing; only eviction ends it.
-class ContextCache {
- public:
-  const MontgomeryContext& get(const BigUInt& n) {
-    const std::uint64_t tag = n.low_u64();
-    for (Slot& s : slots_) {
-      if (s.tag == tag && s.ctx->modulus() == n) {
-        s.stamp = ++clock_;
-        return *s.ctx;
-      }
-    }
-    auto fresh = std::make_unique<MontgomeryContext>(n);
-    if (slots_.size() < MontgomeryContext::kCacheCapacity) {
-      slots_.push_back({tag, ++clock_, std::move(fresh)});
-      return *slots_.back().ctx;
-    }
-    Slot& victim = *std::min_element(
-        slots_.begin(), slots_.end(),
-        [](const Slot& a, const Slot& b) { return a.stamp < b.stamp; });
-    victim = {tag, ++clock_, std::move(fresh)};
-    return *victim.ctx;
-  }
-
- private:
-  struct Slot {
-    std::uint64_t tag;    ///< low 64 bits of the modulus
-    std::uint64_t stamp;  ///< clock_ at the last lookup
-    std::unique_ptr<MontgomeryContext> ctx;
-  };
-  std::vector<Slot> slots_;
-  std::uint64_t clock_ = 0;
-};
+/// Exponentiations the calling thread has run on the ADX kernels.
+thread_local std::uint64_t t_adx_exps = 0;
 
 }  // namespace
 
 const MontgomeryContext& MontgomeryContext::cached(const BigUInt& modulus) {
   // Per thread: pool threads of the parallel engine each keep their own
   // set, so no lookup takes a lock.
-  thread_local ContextCache cache;
-  return cache.get(modulus);
+  thread_local ModulusCache<MontgomeryContext> cache(kCacheCapacity);
+  return cache.get(modulus, [&] { return MontgomeryContext(modulus); });
 }
 
 std::size_t MontgomeryContext::window_bits(std::size_t exp_bits) {
@@ -439,7 +409,11 @@ MontgomeryContext::MontgomeryContext(const BigUInt& modulus) : n_(modulus) {
     case 768: exp_ = &MontgomeryContext::exp_impl<768 / kWordBits>; break;
     default: exp_ = &MontgomeryContext::exp_impl<0>; break;
   }
+  if constexpr (sizeof(Word) == sizeof(std::uint64_t))
+    adx_mul_ = mont_mul_adx(k_);
 }
+
+std::uint64_t MontgomeryContext::adx_exponentiations() { return t_adx_exps; }
 
 bool MontgomeryContext::fixed_width() const {
   return exp_ != &MontgomeryContext::exp_impl<0>;
@@ -645,10 +619,30 @@ BigUInt MontgomeryContext::exp_impl(const BigUInt& base,
   }
   Word* acc = table + k * entries;
 
+  // The ADX product, when this width has one on this host, squares too: it
+  // beats the portable dedicated squaring. force_scalar() is read here, per
+  // exponentiation, so a cached context follows set_force_scalar().
+  const auto adx = force_scalar() ? nullptr : adx_mul_;
+  if (adx != nullptr) ++t_adx_exps;
+  const auto mul = [&](Word* out, const Word* a, const Word* b) {
+    if (adx != nullptr) {
+      adx(out, a, b, mod_.data(), n0_inv_);
+    } else {
+      mont_mul<K>(out, a, b, t);
+    }
+  };
+  const auto sqr = [&](Word* x) {
+    if (adx != nullptr) {
+      adx(x, x, x, mod_.data(), n0_inv_);
+    } else {
+      mont_sqr<K>(x, x, t);
+    }
+  };
+
   to_words(base, acc);
-  mont_mul<K>(table + k, acc, r2_.data(), t);
+  mul(table + k, acc, r2_.data());
   for (std::size_t w = 2; w < entries; ++w)
-    mont_mul<K>(table + w * k, table + (w - 1) * k, table + k, t);
+    mul(table + w * k, table + (w - 1) * k, table + k);
 
   const std::size_t windows = (bits + window - 1) / window;
   for (std::size_t w = windows; w-- > 0;) {
@@ -659,11 +653,11 @@ BigUInt MontgomeryContext::exp_impl(const BigUInt& base,
       std::copy_n(table + wv * k, k, acc);  // top window: skip squaring R mod n
       continue;
     }
-    for (std::size_t s = 0; s < window; ++s) mont_sqr<K>(acc, acc, t);
-    if (wv != 0) mont_mul<K>(acc, acc, table + wv * k, t);
+    for (std::size_t s = 0; s < window; ++s) sqr(acc);
+    if (wv != 0) mul(acc, acc, table + wv * k);
   }
 
-  mont_mul<K>(acc, acc, one_.data(), t);  // leave Montgomery form
+  mul(acc, acc, one_.data());  // leave Montgomery form
   return from_words(acc);
 }
 

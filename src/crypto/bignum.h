@@ -113,7 +113,11 @@ class BigUInt {
 /// The constructor picks the exponentiation kernel once: a fully unrolled,
 /// allocation-free one for 256-, 384-, 512- and 768-bit moduli (RSA-512 and
 /// RSA-768 keys and their CRT primes, RSA-1024's primes), a runtime-width
-/// loop for every other size.
+/// loop for every other size. At those widths, and at 1024 and 2048 bits
+/// (RSA-2048's CRT halves and modulus), each exponentiation runs its products
+/// on the mulx/adcx/adox assembly (mont_adx.h) when the host has BMI2 and ADX
+/// and force_scalar() is off, and on the portable kernels otherwise; the
+/// results are the same words either way.
 ///
 /// Building a context costs a long division (R^2 mod n), so RSA takes its
 /// contexts from cached(), once per key and thread; Miller–Rabin builds one
@@ -144,6 +148,9 @@ class MontgomeryContext {
   [[nodiscard]] const BigUInt& modulus() const { return n_; }
   /// Whether mod_exp runs a fixed-width (unrolled) kernel for this modulus.
   [[nodiscard]] bool fixed_width() const;
+  /// Exponentiations the calling thread has run on the ADX kernels. Both
+  /// kernels give the same bytes, so this is how a test sees which one ran.
+  static std::uint64_t adx_exponentiations();
 
   /// (base ^ exp) mod n. Left-to-right fixed-window exponentiation entirely
   /// in Montgomery form, window width from window_bits().
@@ -195,6 +202,9 @@ class MontgomeryContext {
   Words one_;       ///< plain 1, k words (multiplier for from-Montgomery)
   std::size_t k_ = 0;
   Word n0_inv_ = 0;  ///< -n^-1 mod 2^W
+  /// The ADX product at this width on this host (mont_adx.h), or nullptr.
+  void (*adx_mul_)(Word*, const Word*, const Word*, const Word*,
+                   Word) = nullptr;
   /// exp_impl instance chosen by the constructor.
   BigUInt (MontgomeryContext::*exp_)(const BigUInt&, const BigUInt&) const;
 };

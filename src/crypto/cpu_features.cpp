@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdlib>
 
+#include "crypto/mont_adx.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #include <cpuid.h>
 #include <immintrin.h>
@@ -40,6 +42,8 @@ CpuFeatures detect() {
     __cpuid_count(7, 0, eax, ebx, ecx, edx);
     f.avx2 = f.avx && (ebx & bit_AVX2) != 0;
     f.sha_ni = f.sse41 && (ebx & bit_SHA) != 0;
+    f.bmi2 = (ebx & bit_BMI2) != 0;
+    f.adx = (ebx & bit_ADX) != 0;
   }
 #endif
   return f;
@@ -89,6 +93,10 @@ const char* sha256_multi_impl_name() {
   if (f.sha_ni) return "sha_ni";
   if (f.avx2) return "avx2";
   return "scalar";
+}
+
+const char* mont_impl_name() {
+  return !force_scalar() && mont_adx_available() ? "adx" : "portable";
 }
 
 }  // namespace mykil::crypto

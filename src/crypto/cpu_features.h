@@ -5,7 +5,9 @@
 // from cpuid so one binary runs everywhere: AVX2 where available, SSE2 on
 // any x86-64, and the portable scalar code elsewhere. The scalar code is
 // simultaneously the correctness oracle — `crypto_simd_test` cross-checks
-// every SIMD path against it, and benches pin either side.
+// every SIMD path against it, and benches pin either side. RSA's Montgomery
+// products follow the same policy: mulx/adcx/adox assembly on BMI2+ADX
+// hosts, the portable kernels elsewhere (DESIGN.md 3.6).
 //
 // Two override knobs force the scalar path:
 //   - environment: MYKIL_FORCE_SCALAR=1 (read once, at first query)
@@ -26,6 +28,8 @@ struct CpuFeatures {
   bool avx = false;     ///< requires OS xsave support (xgetbv)
   bool avx2 = false;    ///< 4x64-bit lanes: the Speck128 fast path
   bool sha_ni = false;  ///< SHA-256 round instructions: the hash fast path
+  bool bmi2 = false;    ///< mulx: a 64x64 multiply that leaves the flags alone
+  bool adx = false;     ///< adcx/adox: two independent carry chains
 };
 
 /// Detected features of this CPU (cached after the first call). Reflects
@@ -51,5 +55,10 @@ const char* sha256_impl_name();
 /// And for the 4-lane interleaved SHA-256 used by sha256_multi/HMAC batch
 /// verification: "avx2", "ssse3", or "scalar".
 const char* sha256_multi_impl_name();
+
+/// And for RSA's Montgomery products at the unrolled widths: "adx"
+/// (mulx/adcx/adox assembly, x86-64 ELF builds on BMI2+ADX hosts) or
+/// "portable".
+const char* mont_impl_name();
 
 }  // namespace mykil::crypto

@@ -1,8 +1,11 @@
 #include "crypto/rsa.h"
 
+#include <atomic>
+
 #include "common/error.h"
 #include "common/wire.h"
 #include "crypto/hmac.h"
+#include "crypto/modulus_cache.h"
 #include "crypto/prng.h"
 #include "crypto/sha256.h"
 
@@ -18,7 +21,7 @@ const Bytes& empty_label_hash() {
   return kHash;
 }
 
-bool g_blinding_enabled = false;
+std::atomic<bool> g_blinding_enabled{false};
 
 // CRT exponentiation: m = c^d mod n using the private key's p/q halves.
 // Each half runs on its prime's cached Montgomery context (built once per
@@ -35,27 +38,64 @@ BigUInt crt_core(const RsaPrivateKey& priv, const BigUInt& c) {
   return m2 + priv.q * h;
 }
 
-/// PRNG for blinding factors. Blinding randomness never reaches any
-/// output, so a process-local deterministic stream keeps runs repeatable.
-Prng& blinding_prng() {
-  static Prng prng(0x424C494E44ULL);  // "BLIND"
-  return prng;
-}
+/// Uses of one blinding factor r before a fresh one is drawn.
+constexpr unsigned kBlindingUses = 32;
+
+/// One thread's blinding pair for one modulus, kept as OpenSSL's
+/// BN_BLINDING keeps it: a = r^e and a_inv = r^-1 mod n. Each use after the
+/// first squares both, so successive operations are blinded by r, r^2, r^4,
+/// ..., and every kBlindingUses uses a fresh r replaces them.
+struct Blinding {
+  BigUInt n, a, a_inv;
+  unsigned uses = 0;
+  [[nodiscard]] const BigUInt& modulus() const { return n; }
+};
 
 BigUInt crt_private_op(const RsaPrivateKey& priv, const BigUInt& c) {
   if (!g_blinding_enabled || priv.e.is_zero()) return crt_core(priv, c);
-  // Blind: c' = c * r^e mod n; unblind: m = m' * r^-1 mod n.
-  BigUInt r, r_inv;
-  for (;;) {
-    r = BigUInt::random_below(priv.n, blinding_prng());
-    if (r.is_zero()) continue;
-    if (BigUInt::gcd(r, priv.n) != BigUInt(1)) continue;  // astronomically rare
-    r_inv = BigUInt::mod_inverse(r, priv.n);
-    break;
+  // Per thread, beside the cached Montgomery contexts, so no lookup takes a
+  // lock. Blinding randomness never reaches an output, so a fixed seed
+  // keeps runs repeatable.
+  thread_local ModulusCache<Blinding> pairs(MontgomeryContext::kCacheCapacity);
+  thread_local Prng prng(0x424C494E44ULL);  // "BLIND"
+  Blinding& b = pairs.get(priv.n, [&] { return Blinding{priv.n, {}, {}, 0}; });
+  const MontgomeryContext& ctx = MontgomeryContext::cached(priv.n);
+  if (b.uses++ % kBlindingUses == 0) {
+    for (;;) {
+      const BigUInt r = BigUInt::random_below(priv.n, prng);
+      if (r.is_zero()) continue;
+      try {
+        b.a_inv = BigUInt::mod_inverse(r, priv.n);
+      } catch (const CryptoError&) {
+        continue;  // r shares a factor with n: astronomically rare
+      }
+      b.a = ctx.mod_exp(r, priv.e);
+      break;
+    }
+  } else {
+    b.a = ctx.sqr(b.a);
+    b.a_inv = ctx.sqr(b.a_inv);
   }
-  BigUInt blinded = (c * BigUInt::mod_exp_mont(r, priv.e, priv.n)) % priv.n;
-  BigUInt m = crt_core(priv, blinded);
-  return (m * r_inv) % priv.n;
+  // Blind: c' = c * r^e mod n; unblind: m = m' * r^-1 mod n.
+  return ctx.mul(crt_core(priv, ctx.mul(c, b.a)), b.a_inv);
+}
+
+// EMSA-PKCS1-v1.5 shape, k bytes: 00 01 FF..FF 00 || "sha256:" || SHA-256(msg).
+// Empty when k is too small to hold it.
+Bytes emsa_encode(ByteView msg, std::size_t k) {
+  static constexpr char kPrefix[] = "sha256:";
+  constexpr std::size_t t_len = sizeof(kPrefix) - 1 + kHashLen;
+  if (k < t_len + 11) return {};
+  Bytes em(k, 0xFF);
+  em[0] = 0x00;
+  em[1] = 0x01;
+  em[k - t_len - 1] = 0x00;
+  std::copy(kPrefix, kPrefix + sizeof(kPrefix) - 1,
+            em.end() - static_cast<std::ptrdiff_t>(t_len));
+  const Bytes digest = Sha256::digest(msg);
+  std::copy(digest.begin(), digest.end(),
+            em.end() - static_cast<std::ptrdiff_t>(kHashLen));
+  return em;
 }
 
 }  // namespace
@@ -192,47 +232,21 @@ Bytes rsa_decrypt(const RsaPrivateKey& priv, ByteView ciphertext) {
 
 Bytes rsa_sign(const RsaPrivateKey& priv, ByteView msg) {
   const std::size_t k = priv.modulus_bytes();
-  Bytes digest = Sha256::digest(msg);
-  // EMSA-PKCS1-v1.5 shape: 00 01 FF..FF 00 || "sha256:" || digest
-  Bytes em(k, 0xFF);
-  em[0] = 0x00;
-  em[1] = 0x01;
-  static constexpr char kPrefix[] = "sha256:";
-  const std::size_t t_len = sizeof(kPrefix) - 1 + digest.size();
-  if (k < t_len + 11) throw CryptoError("RSA key too small to sign");
-  em[k - t_len - 1] = 0x00;
-  std::copy(kPrefix, kPrefix + sizeof(kPrefix) - 1,
-            em.end() - static_cast<std::ptrdiff_t>(t_len));
-  std::copy(digest.begin(), digest.end(),
-            em.end() - static_cast<std::ptrdiff_t>(digest.size()));
-
-  BigUInt m = BigUInt::from_bytes_be(em);
-  BigUInt s = crt_private_op(priv, m);
+  const Bytes em = emsa_encode(msg, k);
+  if (em.empty()) throw CryptoError("RSA key too small to sign");
+  BigUInt s = crt_private_op(priv, BigUInt::from_bytes_be(em));
   return s.to_bytes_be(k);
 }
 
 bool rsa_verify(const RsaPublicKey& pub, ByteView msg, ByteView signature) {
   const std::size_t k = pub.modulus_bytes();
   if (signature.size() != k) return false;
+  const Bytes expected = emsa_encode(msg, k);
+  if (expected.empty()) return false;
   BigUInt s = BigUInt::from_bytes_be(signature);
   if (s >= pub.n) return false;
   BigUInt m = BigUInt::mod_exp_mont(s, pub.e, pub.n);
-  Bytes em = m.to_bytes_be(k);
-
-  // Rebuild the expected encoding and compare in full.
-  Bytes digest = Sha256::digest(msg);
-  Bytes expected(k, 0xFF);
-  expected[0] = 0x00;
-  expected[1] = 0x01;
-  static constexpr char kPrefix[] = "sha256:";
-  const std::size_t t_len = sizeof(kPrefix) - 1 + digest.size();
-  if (k < t_len + 11) return false;
-  expected[k - t_len - 1] = 0x00;
-  std::copy(kPrefix, kPrefix + sizeof(kPrefix) - 1,
-            expected.end() - static_cast<std::ptrdiff_t>(t_len));
-  std::copy(digest.begin(), digest.end(),
-            expected.end() - static_cast<std::ptrdiff_t>(digest.size()));
-  return ct_equal(em, expected);
+  return ct_equal(m.to_bytes_be(k), expected);  // the whole block
 }
 
 }  // namespace mykil::crypto

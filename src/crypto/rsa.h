@@ -72,10 +72,13 @@ bool rsa_verify(const RsaPublicKey& pub, ByteView msg, ByteView signature);
 Bytes mgf1_sha256(ByteView seed, std::size_t len);
 
 /// RSA blinding — the paper's OpenSSL `RSA_blinding_on` (Section V-D):
-/// private-key operations compute ((c * r^e)^d) * r^-1 mod n with a fresh
-/// random r, decorrelating timing from the key. The paper measured ~0.01 s
-/// extra per join; the micro benchmark measures ours. Off by default;
-/// process-wide toggle (affects rsa_decrypt and rsa_sign).
+/// private-key operations compute ((c * r^e)^d) * r^-1 mod n, decorrelating
+/// timing from the key. As OpenSSL's BN_BLINDING does, each thread keeps a
+/// pair (r^e, r^-1) per modulus, squares both after each use and draws a
+/// fresh r every 32 uses, so the inverse is paid once per 32 operations.
+/// The paper measured ~0.01 s extra per join; the micro benchmark measures
+/// ours. Off by default; process-wide toggle (affects rsa_decrypt and
+/// rsa_sign), safe to read from any thread.
 void rsa_set_blinding(bool enabled);
 [[nodiscard]] bool rsa_blinding_enabled();
 

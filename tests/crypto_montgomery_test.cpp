@@ -1,7 +1,9 @@
 // Montgomery-form modular exponentiation cross-checked against the legacy
 // square-and-multiply oracle, plus MontgomeryContext unit behaviour and
 // Miller–Rabin agreement between the Montgomery path and a reference
-// implementation built on the oracle.
+// implementation built on the oracle. The width cases run under both
+// product kernels, portable and (on a BMI2+ADX host) the assembly, and the
+// assembly products are also checked one by one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -9,6 +11,8 @@
 
 #include "common/error.h"
 #include "crypto/bignum.h"
+#include "crypto/cpu_features.h"
+#include "crypto/mont_adx.h"
 #include "crypto/prng.h"
 
 namespace mykil::crypto {
@@ -131,7 +135,8 @@ TEST(Montgomery, FermatAtRsaSize) {
 
 // Fixed-width kernels and exponent-sized windows. Widths are in 64-bit
 // words: 4, 6, 8 and 12 (RSA-512/768 moduli and CRT halves, RSA-1024's
-// halves) run unrolled kernels; 1, 3, 5 and 16 take the runtime-width loop.
+// halves) run unrolled kernels; 1, 3, 5, 16 and 32 take the runtime-width
+// loop on the portable side. The ADX kernels cover 4-32 (mont_adx.h).
 // Every exponentiation writes each product over one of its own inputs
 // (acc = acc * acc, acc = acc * table[w]), so these cases also cover
 // `out` aliasing an input in both kernel kinds.
@@ -161,6 +166,34 @@ BigUInt top_word_all_ones(std::size_t words, Prng& prng) {
 /// 2^(64k - 1) + 1: top bit and bit 0 only.
 BigUInt sparse_modulus(std::size_t words) {
   return (BigUInt(1) << (64 * words - 1)) + BigUInt(1);
+}
+
+/// Pins set_force_scalar for one scope; the default (off) comes back after.
+class ForceScalar {
+ public:
+  explicit ForceScalar(bool on) { set_force_scalar(on); }
+  ~ForceScalar() { set_force_scalar(false); }
+  ForceScalar(const ForceScalar&) = delete;
+  ForceScalar& operator=(const ForceScalar&) = delete;
+};
+
+/// Whether exponentiations can reach the ADX kernels in this process: an
+/// x86-64 ELF build on a BMI2+ADX host, without MYKIL_FORCE_SCALAR set.
+bool adx_reachable() { return std::string(mont_impl_name()) == "adx"; }
+
+/// Runs `body` once on the portable kernels (pinned by set_force_scalar)
+/// and, where reachable, once more on the ADX kernels; failures name the
+/// kernel.
+template <typename Body>
+void for_each_kernel(Body&& body) {
+  {
+    ForceScalar pin(true);
+    SCOPED_TRACE("portable kernel");
+    body();
+  }
+  if (!adx_reachable()) return;
+  SCOPED_TRACE("adx kernel");
+  body();
 }
 
 TEST(Montgomery, WindowWidthFollowsExponentSize) {
@@ -204,13 +237,15 @@ TEST_P(MontgomeryWidth, FullWidthExponentsMatchOracle) {
     MontgomeryContext ctx(m);
     ASSERT_EQ(ctx.fixed_width(), is_fixed_width(GetParam()));
     const BigUInt exp = BigUInt::random_with_bits(m.bit_length(), prng);
-    // Bases below n, above n (reduced first), n - 1 and n - 2.
+    // Bases below n, above n (reduced first), n - 1, n - 2, 0 and 1.
     for (const BigUInt& base :
          {BigUInt::random_below(m, prng),
           BigUInt::random_with_bits(m.bit_length() + 7, prng),
-          m - BigUInt(1), m - BigUInt(2)}) {
-      EXPECT_EQ(ctx.mod_exp(base, exp), BigUInt::mod_exp(base, exp, m))
-          << "m=" << m.to_decimal();
+          m - BigUInt(1), m - BigUInt(2), BigUInt(0), BigUInt(1)}) {
+      const BigUInt want = BigUInt::mod_exp(base, exp, m);
+      for_each_kernel([&] {
+        EXPECT_EQ(ctx.mod_exp(base, exp), want) << "m=" << m.to_decimal();
+      });
     }
   }
 }
@@ -220,12 +255,15 @@ TEST_P(MontgomeryWidth, ShortExponentsStraddleWindowThresholds) {
   for (const BigUInt& m : moduli(prng)) {
     MontgomeryContext ctx(m);
     const BigUInt base = BigUInt::random_below(m, prng);
-    EXPECT_EQ(ctx.mod_exp(base, BigUInt(65537)),
-              BigUInt::mod_exp(base, BigUInt(65537), m));
-    for (std::size_t bits : {1u, 2u, 17u, 31u, 32u, 33u, 64u, 79u, 80u, 239u, 240u}) {
-      const BigUInt exp = BigUInt::random_with_bits(bits, prng);
-      EXPECT_EQ(ctx.mod_exp(base, exp), BigUInt::mod_exp(base, exp, m))
-          << "bits=" << bits << " m=" << m.to_decimal();
+    std::vector<BigUInt> exps = {BigUInt(65537)};
+    for (std::size_t bits : {1u, 2u, 17u, 31u, 32u, 33u, 64u, 79u, 80u, 239u, 240u})
+      exps.push_back(BigUInt::random_with_bits(bits, prng));
+    for (const BigUInt& exp : exps) {
+      const BigUInt want = BigUInt::mod_exp(base, exp, m);
+      for_each_kernel([&] {
+        EXPECT_EQ(ctx.mod_exp(base, exp), want)
+            << "bits=" << exp.bit_length() << " m=" << m.to_decimal();
+      });
     }
   }
 }
@@ -238,16 +276,116 @@ TEST_P(MontgomeryWidth, CachedContextMatchesFreshOne) {
     EXPECT_EQ(cached.modulus(), m);
     const BigUInt base = BigUInt::random_below(m, prng);
     const BigUInt exp = BigUInt::random_with_bits(96, prng);
-    EXPECT_EQ(cached.mod_exp(base, exp), MontgomeryContext(m).mod_exp(base, exp));
-    EXPECT_EQ(BigUInt::mod_exp_mont(base, exp, m), BigUInt::mod_exp(base, exp, m));
+    const BigUInt want = BigUInt::mod_exp(base, exp, m);
+    for_each_kernel([&] {
+      EXPECT_EQ(cached.mod_exp(base, exp), MontgomeryContext(m).mod_exp(base, exp));
+      EXPECT_EQ(BigUInt::mod_exp_mont(base, exp, m), want);
+    });
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Words, MontgomeryWidth,
-                         ::testing::Values(1, 3, 4, 5, 6, 8, 12, 16),
+                         ::testing::Values(1, 3, 4, 5, 6, 8, 12, 16, 32),
                          [](const ::testing::TestParamInfo<std::size_t>& info) {
                            return "w" + std::to_string(info.param);
                          });
+
+// The assembly products one by one, against a · b · R^-1 mod n computed
+// with BigUInt: random operands, 0, 1, n - 1 and R mod n, pairs whose
+// product is R mod n (Montgomery one, where t can reach exactly R before
+// the final subtraction, so a carry must ripple through every word), and
+// `out` as a third buffer, aliasing a, aliasing b, and aliasing both.
+
+constexpr std::size_t kAdxWidths[] = {4, 6, 8, 12, 16, 32};
+
+std::vector<std::uint64_t> words_of(const BigUInt& v, std::size_t words) {
+  const Bytes be = v.to_bytes_be(8 * words);
+  std::vector<std::uint64_t> out(words, 0);
+  for (std::size_t i = 0; i < be.size(); ++i)  // i-th byte from the low end
+    out[i / 8] |= std::uint64_t{be[be.size() - 1 - i]} << (8 * (i % 8));
+  return out;
+}
+
+BigUInt value_of(const std::vector<std::uint64_t>& w) {
+  BigUInt v;
+  for (std::size_t i = w.size(); i-- > 0;) v = (v << 64) + BigUInt(w[i]);
+  return v;
+}
+
+class MontgomeryAdx : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(MontgomeryAdx, ProductsMatchOracle) {
+  const std::size_t words = GetParam();
+  const MontMulAdx mul = mont_mul_adx(words);
+  if (mul == nullptr)
+    GTEST_SKIP() << "no ADX kernel: needs an x86-64 ELF build on a BMI2+ADX "
+                    "host";
+  Prng prng(900 + words);
+  const BigUInt two64 = BigUInt(1) << 64;
+  for (const BigUInt& n : {random_modulus_words(words, prng),
+                           top_word_all_ones(words, prng), sparse_modulus(words)}) {
+    const std::vector<std::uint64_t> nw = words_of(n, words);
+    const std::uint64_t n0 = (two64 - BigUInt::mod_inverse(n, two64)).low_u64();
+    const BigUInt r = (BigUInt(1) << (64 * words)) % n;
+    const BigUInt r_inv = BigUInt::mod_inverse(r, n);
+    const auto check = [&](const BigUInt& x, const BigUInt& y) {
+      const BigUInt want = x * y % n * r_inv % n;
+      const std::vector<std::uint64_t> a = words_of(x, words);
+      const std::vector<std::uint64_t> b = words_of(y, words);
+      std::vector<std::uint64_t> out(words), in_a = a, in_b = b;
+      mul(out.data(), a.data(), b.data(), nw.data(), n0);
+      EXPECT_EQ(value_of(out), want) << "separate out, n=" << n.to_decimal();
+      mul(in_a.data(), in_a.data(), b.data(), nw.data(), n0);
+      EXPECT_EQ(value_of(in_a), want) << "out aliases a, n=" << n.to_decimal();
+      mul(in_b.data(), a.data(), in_b.data(), nw.data(), n0);
+      EXPECT_EQ(value_of(in_b), want) << "out aliases b, n=" << n.to_decimal();
+    };
+    std::vector<BigUInt> ops = {BigUInt(0), BigUInt(1), n - BigUInt(1), r};
+    for (int i = 0; i < 100; ++i) ops.push_back(BigUInt::random_below(n, prng));
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      // Every pair among 0, 1, n - 1 and R, then neighbours in the random run.
+      for (std::size_t j : {i + 1, i + 2, i + 3}) check(ops[i], ops[j % ops.size()]);
+      std::vector<std::uint64_t> x = words_of(ops[i], words);
+      mul(x.data(), x.data(), x.data(), nw.data(), n0);
+      EXPECT_EQ(value_of(x), ops[i] * ops[i] % n * r_inv % n)
+          << "out aliases both, n=" << n.to_decimal();
+    }
+    for (int i = 0; i < 30; ++i) {
+      const BigUInt x = BigUInt(1) + BigUInt::random_below(n - BigUInt(1), prng);
+      if (BigUInt::gcd(x, n) != BigUInt(1)) continue;  // n need not be prime
+      check(x * r % n, BigUInt::mod_inverse(x, n) * r % n);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Words, MontgomeryAdx, ::testing::ValuesIn(kAdxWidths),
+                         [](const ::testing::TestParamInfo<std::size_t>& info) {
+                           return "w" + std::to_string(info.param);
+                         });
+
+TEST(MontgomeryDispatch, CachedContextFollowsForceScalar) {
+  if (!adx_reachable())
+    GTEST_SKIP() << "ADX kernels unreachable: not an x86-64 ELF build, no "
+                    "BMI2+ADX, or MYKIL_FORCE_SCALAR set";
+  // The kernel is picked per exponentiation, not when the context is built:
+  // a context cached before set_force_scalar(true) must switch on its next
+  // exponentiation, and switch back after.
+  Prng prng(801);
+  const BigUInt m = random_modulus_words(6, prng);
+  const MontgomeryContext& ctx = MontgomeryContext::cached(m);
+  const BigUInt base = BigUInt::random_below(m, prng);
+  const BigUInt exp = BigUInt::random_with_bits(384, prng);
+  const BigUInt want = ctx.mod_exp(base, exp);
+  const std::uint64_t adx_runs = MontgomeryContext::adx_exponentiations();
+  {
+    ForceScalar pin(true);
+    EXPECT_EQ(&MontgomeryContext::cached(m), &ctx);
+    EXPECT_EQ(ctx.mod_exp(base, exp), want);
+    EXPECT_EQ(MontgomeryContext::adx_exponentiations(), adx_runs);
+  }
+  EXPECT_EQ(ctx.mod_exp(base, exp), want);
+  EXPECT_EQ(MontgomeryContext::adx_exponentiations(), adx_runs + 1);
+}
 
 /// Reference Miller–Rabin built directly on the legacy oracle (its own
 /// witness stream; verdicts agree with overwhelming probability).

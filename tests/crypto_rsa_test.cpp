@@ -4,7 +4,9 @@
 // Tests use 512–1024-bit keys for speed. Key size picks the Montgomery
 // kernel (fixed-width up to 768-bit moduli, the runtime-width loop above),
 // which the known answers cover on both sides; the kernels themselves are
-// cross-checked in crypto_montgomery_test.cpp.
+// cross-checked in crypto_montgomery_test.cpp. On a BMI2+ADX host the
+// products run the ADX assembly; ctest's crypto_test_forced_scalar entry
+// runs this file again on the portable kernels.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -200,6 +202,29 @@ TEST(RsaBlinding, SignaturesUnchangedUnderBlinding) {
   EXPECT_TRUE(rsa_verify(kp.pub, msg, sig_blind));
 }
 
+TEST(RsaBlinding, ReusedPairsKeepTheBytesAcrossRefreshes) {
+  // One thread's pair for a modulus is squared after each use and redrawn
+  // every 32 uses: 100 private ops on one key run on r, r^2, ..., r^(2^31),
+  // then three fresh factors, and every result must equal the unblinded one.
+  Prng prng(609);
+  RsaKeyPair kp = rsa_generate(768, prng);
+  std::vector<Bytes> msgs, sigs, cts;
+  for (int i = 0; i < 50; ++i) {
+    msgs.push_back(prng.bytes(1 + static_cast<std::size_t>(i) % 30));
+    sigs.push_back(rsa_sign(kp.priv, msgs.back()));
+    cts.push_back(rsa_encrypt(kp.pub, msgs.back(), prng));
+  }
+  RsaBlindingGuard guard;
+  for (int i = 0; i < 100; ++i) {
+    const std::size_t j = static_cast<std::size_t>(i / 2);
+    if (i % 2 == 0) {
+      EXPECT_EQ(rsa_sign(kp.priv, msgs[j]), sigs[j]) << "op " << i;
+    } else {
+      EXPECT_EQ(rsa_decrypt(kp.priv, cts[j]), msgs[j]) << "op " << i;
+    }
+  }
+}
+
 TEST(RsaBlinding, PrivateKeyCarriesPublicExponent) {
   Prng prng(608);
   RsaKeyPair kp = rsa_generate(512, prng);
@@ -360,6 +385,31 @@ TEST(RsaConcurrency, FourThreadsShareKeys) {
           mismatches.fetch_add(1);
         const Bytes fresh = rsa_encrypt(keys[1].pub, msg, prng);
         if (rsa_decrypt(keys[1].priv, fresh) != msg) mismatches.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
+TEST(RsaConcurrency, FourThreadsBlindSharedKeys) {
+  // Blinding pairs and their random stream are per thread: four threads
+  // blinding on the same keys share no state. Run under ThreadSanitizer.
+  const RsaKeyPair keys[] = {kat_key(512), kat_key(768)};
+  const Bytes msg = to_bytes(kKatMessage);
+  const Bytes ct = hex_decode(kKnownAnswers[1].ct_hex);
+  RsaBlindingGuard guard;
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < 40; ++i) {  // crosses a refresh on each key
+        const RsaKeyPair& kp = keys[(i + t) % 2];
+        const char* want = kp.pub.n == keys[0].pub.n ? kKnownAnswers[0].sig_hex
+                                                     : kKnownAnswers[1].sig_hex;
+        if (hex_encode(rsa_sign(kp.priv, msg)) != want) mismatches.fetch_add(1);
+        if (rsa_decrypt(keys[1].priv, ct) != to_bytes(kKatPlaintext))
+          mismatches.fetch_add(1);
       }
     });
   }
