@@ -8,6 +8,9 @@
 //              including seal/wire overhead), at a 1:10 scaled group
 //              (10,000 members) to keep runtime in seconds; the scale
 //              factor changes tree depth by ~3 levels, not the shape.
+//              LKH and Mykil are lkh::KeyTree leave rekeys; Iolus is one
+//              real sealed key times the members left (src/iolus, the
+//              Iolus network baseline, is not run here).
 #include <cstdio>
 #include <vector>
 

@@ -417,11 +417,6 @@ void run_json_suite(const std::string& path, bool smoke) {
     benchmark::DoNotOptimize(crypto::Sha256::digest(data1k));
   });
   crypto::set_force_scalar(false);
-  std::array<ByteView, 4> lanes1k = {data1k, data1k, data1k, data1k};
-  time_op_tp(json, "sha256_4x1KiB", sym_reps, 4 * 1024,
-             crypto::sha256_multi_impl_name(), [&] {
-               benchmark::DoNotOptimize(crypto::sha256_multi(lanes1k));
-             });
   time_op(json, "hmac_oneshot_64B", sym_reps, "", [&] {
     benchmark::DoNotOptimize(
         crypto::hmac_sha256(hkey, ByteView(data1k.data(), 64)));

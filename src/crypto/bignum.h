@@ -40,7 +40,6 @@ class BigUInt {
 
   [[nodiscard]] bool is_zero() const { return limbs_.empty(); }
   [[nodiscard]] bool is_even() const { return limbs_.empty() || (limbs_[0] & 1) == 0; }
-  [[nodiscard]] bool is_odd() const { return !is_even(); }
   /// Number of significant bits (0 for zero).
   [[nodiscard]] std::size_t bit_length() const;
   /// Value of bit `i` (0 = least significant).
@@ -93,7 +92,6 @@ class BigUInt {
   friend class MontgomeryContext;
 
   void normalize();
-  [[nodiscard]] std::size_t limb_count() const { return limbs_.size(); }
 
   std::vector<std::uint32_t> limbs_;
 };

@@ -85,16 +85,6 @@ const char* sha256_impl_name() {
   return cpu_features().sha_ni ? "sha_ni" : "scalar";
 }
 
-const char* sha256_multi_impl_name() {
-  if (force_scalar()) return "scalar";
-  const CpuFeatures& f = cpu_features();
-  // Mirrors multi4_core's dispatch: SHA-NI single-stream per lane beats
-  // the 4-lane AVX2 interleave, so it wins when both are present.
-  if (f.sha_ni) return "sha_ni";
-  if (f.avx2) return "avx2";
-  return "scalar";
-}
-
 const char* mont_impl_name() {
   return !force_scalar() && mont_adx_available() ? "adx" : "portable";
 }

@@ -1,6 +1,7 @@
 #include "crypto/data_plane.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 
@@ -63,26 +64,6 @@ bool DataPlaneKey::open_into(ByteView sealed,
   std::copy(body.begin() + kNonceLen, body.end(), out.begin());
   cipher_.ctr_xor(nonce_le64(sealed.data()), 0, out.data(), out.size());
   return true;
-}
-
-DataPlaneKey::Open4Result DataPlaneKey::open4(
-    const std::array<ByteView, 4>& sealed) const {
-  Open4Result result;
-  std::array<ByteView, 4> bodies;
-  std::array<ByteView, 4> tags;
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (sealed[i].size() < kNonceLen + kTagLen) continue;  // empty tag rejects
-    bodies[i] = ByteView(sealed[i].data(), sealed[i].size() - kTagLen);
-    tags[i] = ByteView(sealed[i].data() + sealed[i].size() - kTagLen, kTagLen);
-  }
-  result.ok = mac_.verify4(bodies, tags);
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (!result.ok[i]) continue;
-    Bytes pt(sealed[i].begin() + kNonceLen, sealed[i].end() - kTagLen);
-    cipher_.ctr_xor(nonce_le64(sealed[i].data()), 0, pt.data(), pt.size());
-    result.plaintexts[i] = std::move(pt);
-  }
-  return result;
 }
 
 const DataPlaneKey& DataPlaneCache::get(const SymmetricKey& key) {

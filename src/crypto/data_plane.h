@@ -12,7 +12,6 @@
 // kernels earn their keep.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <span>
 #include <utility>
@@ -43,17 +42,6 @@ class DataPlaneKey {
   /// the buffer it keeps.
   [[nodiscard]] bool open_into(ByteView sealed,
                                std::span<std::uint8_t> out) const;
-
-  /// Open four boxes in one batch: tags verify through HmacKey::verify4's
-  /// interleaved SHA-256 lanes, then each box decrypts. Per-slot results;
-  /// a slot whose tag fails (or that is too short) comes back empty with
-  /// ok[i] == false instead of throwing, so one corrupt packet cannot mask
-  /// the other three. This is the receive shape bench/data_plane.cpp uses.
-  struct Open4Result {
-    std::array<Bytes, 4> plaintexts;
-    std::array<bool, 4> ok{};
-  };
-  [[nodiscard]] Open4Result open4(const std::array<ByteView, 4>& sealed) const;
 
  private:
   Speck128 cipher_;  ///< key schedule for derive("enc"), run once

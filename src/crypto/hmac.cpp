@@ -58,27 +58,6 @@ Bytes HmacKey::mac_trunc(ByteView message, std::size_t n) const {
   return full;
 }
 
-std::array<Bytes, 4> HmacKey::mac4(
-    const std::array<ByteView, 4>& messages) const {
-  std::array<Bytes, 4> inner =
-      sha256_multi_resume(Sha256(inner_, kBlock), messages);
-  std::array<ByteView, 4> inner_views;
-  for (std::size_t i = 0; i < 4; ++i) inner_views[i] = inner[i];
-  return sha256_multi_resume(Sha256(outer_, kBlock), inner_views);
-}
-
-std::array<bool, 4> HmacKey::verify4(
-    const std::array<ByteView, 4>& messages,
-    const std::array<ByteView, 4>& tags) const {
-  std::array<Bytes, 4> expected = mac4(messages);
-  std::array<bool, 4> ok;
-  for (std::size_t i = 0; i < 4; ++i) {
-    ok[i] = !tags[i].empty() && tags[i].size() <= expected[i].size() &&
-            ct_equal(ByteView(expected[i].data(), tags[i].size()), tags[i]);
-  }
-  return ok;
-}
-
 bool HmacKey::verify(ByteView message, ByteView tag) const {
   std::array<std::uint8_t, kTagSize> expected;
   mac_into(message, expected);

@@ -36,18 +36,6 @@ class HmacKey {
   /// Constant-time check of a full or truncated tag (empty tags rejected).
   [[nodiscard]] bool verify(ByteView message, ByteView tag) const;
 
-  /// Tag four messages in one pass: both the inner and outer hashes run
-  /// through sha256_multi's interleaved lanes, so with AVX2 four tags cost
-  /// roughly one. Bit-identical to four mac() calls. This is the batch
-  /// shape the data plane verifies received packets in.
-  [[nodiscard]] std::array<Bytes, 4> mac4(
-      const std::array<ByteView, 4>& messages) const;
-  /// Batch verification of four (message, tag) pairs; per-slot results.
-  /// Tags may be truncated (empty tags reject, as in verify()).
-  [[nodiscard]] std::array<bool, 4> verify4(
-      const std::array<ByteView, 4>& messages,
-      const std::array<ByteView, 4>& tags) const;
-
  private:
   using Midstate = std::array<std::uint32_t, 8>;
   Midstate inner_;  ///< compression state after absorbing key ^ ipad

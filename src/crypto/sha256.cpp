@@ -56,107 +56,6 @@ inline void store_be32(std::uint8_t* p, std::uint32_t v) {
   std::memcpy(p, &v, sizeof(v));
 }
 
-/// Dispatch one run of consecutive blocks through the best available
-/// compression function. The shape every hashing path funnels into.
-inline void compress_blocks(std::uint32_t* state, const std::uint8_t* data,
-                            std::size_t n) {
-  if (n == 0) return;
-  if (!force_scalar() && cpu_features().sha_ni) {
-    detail::sha256_compress_shani(state, data, n);
-    return;
-  }
-  detail::sha256_compress_scalar(state, data, n);
-}
-
-/// One lane of a multi-buffer hash: the message's whole blocks followed by
-/// its padding block(s), addressable as a single block stream.
-struct MultiLane {
-  const std::uint8_t* msg = nullptr;
-  std::size_t full = 0;  ///< whole 64-byte blocks taken from the message
-  std::array<std::uint8_t, 2 * Sha256::kBlockSize> tail{};
-  std::size_t tail_blocks = 0;
-  std::size_t total = 0;
-
-  [[nodiscard]] const std::uint8_t* block_at(std::size_t k) const {
-    return k < full ? msg + k * Sha256::kBlockSize
-                    : tail.data() + (k - full) * Sha256::kBlockSize;
-  }
-};
-
-MultiLane make_lane(ByteView m, std::uint64_t prefix_bytes) {
-  MultiLane lane;
-  lane.msg = m.data();
-  lane.full = m.size() / Sha256::kBlockSize;
-  const std::size_t rem = m.size() % Sha256::kBlockSize;
-  std::copy(m.begin() + static_cast<std::ptrdiff_t>(lane.full *
-                                                    Sha256::kBlockSize),
-            m.end(), lane.tail.begin());
-  lane.tail[rem] = 0x80;
-  lane.tail_blocks = (rem + 1 + 8 <= Sha256::kBlockSize) ? 1 : 2;
-  const std::uint64_t bit_len = (prefix_bytes + m.size()) * 8;
-  std::uint8_t* len_at =
-      lane.tail.data() + lane.tail_blocks * Sha256::kBlockSize - 8;
-  for (int i = 0; i < 8; ++i)
-    len_at[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  lane.total = lane.full + lane.tail_blocks;
-  return lane;
-}
-
-std::array<Bytes, 4> multi4_core(const std::array<std::uint32_t, 8>& init,
-                                 std::uint64_t prefix_bytes,
-                                 const std::array<ByteView, 4>& msgs) {
-  std::uint32_t states[4][8];
-  MultiLane lanes[4];
-  std::size_t lockstep = SIZE_MAX;
-  for (int j = 0; j < 4; ++j) {
-    std::copy(init.begin(), init.end(), states[j]);
-    lanes[j] = make_lane(msgs[static_cast<std::size_t>(j)], prefix_bytes);
-    lockstep = std::min(lockstep, lanes[j].total);
-  }
-
-  std::size_t k = 0;
-  // The 4-lane interleave only beats four single-stream passes when the
-  // single-stream path lacks hardware rounds: SHA-NI retires a block in
-  // fewer cycles than the AVX2 lane kernel spends per lockstep step, so a
-  // SHA-NI host runs every lane sequentially below instead (measured ~2x
-  // faster for 4x1KiB; see BENCH_crypto.json sha256_4x1KiB).
-  if (!force_scalar() && cpu_features().avx2 && !cpu_features().sha_ni) {
-    for (; k < lockstep; ++k) {
-      const std::uint8_t* blocks[4] = {lanes[0].block_at(k),
-                                       lanes[1].block_at(k),
-                                       lanes[2].block_at(k),
-                                       lanes[3].block_at(k)};
-      detail::sha256_compress4_avx2(states, blocks);
-    }
-  }
-  // Lanes longer than the lockstep span (or everything, when SIMD is
-  // unavailable) finish on the single-stream path — itself dispatched, so
-  // the fallback still gets SHA-NI where present.
-  for (int j = 0; j < 4; ++j) {
-    const MultiLane& lane = lanes[j];
-    std::size_t at = k;
-    if (at < lane.full) {
-      compress_blocks(states[j], lane.msg + at * Sha256::kBlockSize,
-                      lane.full - at);
-      at = lane.full;
-    }
-    if (at < lane.total)
-      compress_blocks(states[j],
-                      lane.tail.data() +
-                          (at - lane.full) * Sha256::kBlockSize,
-                      lane.total - at);
-  }
-
-  std::array<Bytes, 4> out;
-  for (int j = 0; j < 4; ++j) {
-    out[static_cast<std::size_t>(j)].resize(Sha256::kDigestSize);
-    for (std::size_t i = 0; i < 8; ++i)
-      store_be32(out[static_cast<std::size_t>(j)].data() + i * 4,
-                 states[j][i]);
-  }
-  return out;
-}
-
 }  // namespace
 
 namespace detail {
@@ -303,16 +202,10 @@ std::array<std::uint32_t, 8> Sha256::midstate() const {
 }
 
 void Sha256::process_blocks(const std::uint8_t* data, std::size_t n) {
-  compress_blocks(state_.data(), data, n);
-}
-
-std::array<Bytes, 4> sha256_multi(const std::array<ByteView, 4>& msgs) {
-  return multi4_core(kInitialState, 0, msgs);
-}
-
-std::array<Bytes, 4> sha256_multi_resume(const Sha256& primed,
-                                         const std::array<ByteView, 4>& msgs) {
-  return multi4_core(primed.midstate(), primed.midstate_bytes(), msgs);
+  if (!force_scalar() && cpu_features().sha_ni)
+    detail::sha256_compress_shani(state_.data(), data, n);
+  else
+    detail::sha256_compress_scalar(state_.data(), data, n);
 }
 
 }  // namespace mykil::crypto

@@ -4,11 +4,8 @@
 // signature digests, and key fingerprints.
 //
 // The compression function is runtime-dispatched (crypto/cpu_features.h):
-// single-stream hashing uses the x86 SHA extension where present, and
-// sha256_multi() hashes four independent messages in interleaved SIMD
-// lanes (AVX2) — the batch shape HMAC tag verification on the data plane
-// fans into. All paths produce bit-identical digests to the portable
-// scalar core (DESIGN.md 12).
+// it uses the x86 SHA extension where present, with digests bit-identical
+// to the portable scalar core (DESIGN.md 12).
 #pragma once
 
 #include <array>
@@ -49,11 +46,8 @@ class Sha256 {
 
   /// The compression state after the blocks absorbed so far. Only valid on
   /// a block boundary (throws CryptoError if a partial block is buffered or
-  /// the hash is finished) — the resume point sha256_multi_resume() and
-  /// HMAC batch MACs continue from.
+  /// the hash is finished) — the resume point HmacKey keeps for its pads.
   [[nodiscard]] std::array<std::uint32_t, 8> midstate() const;
-  /// Bytes absorbed so far (the resume prefix length).
-  [[nodiscard]] std::uint64_t midstate_bytes() const { return total_len_; }
 
  private:
   void process_blocks(const std::uint8_t* data, std::size_t n);
@@ -64,17 +58,5 @@ class Sha256 {
   std::uint64_t total_len_ = 0;
   bool finished_ = false;
 };
-
-/// Hash four independent messages (any lengths, including empty) in one
-/// interleaved pass. Bit-identical to Sha256::digest on each message; with
-/// AVX2 the four lanes cost roughly one scalar hash while lengths stay in
-/// lockstep. This is the primitive behind HmacKey::mac4 batch tagging.
-std::array<Bytes, 4> sha256_multi(const std::array<ByteView, 4>& msgs);
-
-/// Like sha256_multi, but every lane resumes from `primed`'s midstate (a
-/// whole number of absorbed blocks — e.g. an HMAC ipad/opad block), as if
-/// each message had been appended to the primed stream.
-std::array<Bytes, 4> sha256_multi_resume(const Sha256& primed,
-                                         const std::array<ByteView, 4>& msgs);
 
 }  // namespace mykil::crypto

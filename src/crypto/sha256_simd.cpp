@@ -1,21 +1,12 @@
-// SIMD SHA-256 compression kernels (DESIGN.md 12).
+// SHA-NI SHA-256 compression kernel (DESIGN.md 12).
 //
-// Two independent accelerations, selected separately at runtime:
-//
-//   sha256_compress_shani — single-stream compression on the x86 SHA
-//   extension. sha256rnds2 executes two rounds per instruction with the
-//   W-schedule held entirely in xmm registers (sha256msg1/msg2); this is
-//   the fast path for every ordinary Sha256::digest/HMAC call. The
-//   ABEF/CDGH state packing and the 4-round message groups follow the
-//   canonical Intel sequence.
-//
-//   sha256_compress4_avx2 — 4-lane interleaved compression: four
-//   INDEPENDENT messages, one per 32-bit SIMD lane, all running the same
-//   round schedule. Latency per block is the scalar's, but four blocks
-//   finish at once; sha256_multi and HMAC batch verification feed it.
-//
-// Both produce digests bit-identical to the scalar core (exhaustively
-// cross-checked by crypto_simd_test).
+// sha256_compress_shani: single-stream compression on the x86 SHA
+// extension. sha256rnds2 executes two rounds per instruction with the
+// W-schedule held entirely in xmm registers (sha256msg1/msg2); this is the
+// fast path for every Sha256::digest/HMAC call. The ABEF/CDGH state packing
+// and the 4-round message groups follow the canonical Intel sequence.
+// Digests are bit-identical to the scalar core (exhaustively cross-checked
+// by crypto_simd_test).
 #include "crypto/simd_kernels.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -149,132 +140,6 @@ __attribute__((target("sha,sse4.1,ssse3"))) void sha256_compress_shani(
   _mm_storeu_si128(reinterpret_cast<__m128i*>(&state[4]), st1);
 }
 
-namespace {
-
-// 4x4 32-bit transpose: rows r0..r3 -> columns c0..c3.
-#define MYKIL_TRANSPOSE4(r0, r1, r2, r3, c0, c1, c2, c3)  \
-  do {                                                    \
-    __m128i t0 = _mm_unpacklo_epi32((r0), (r1));          \
-    __m128i t1 = _mm_unpacklo_epi32((r2), (r3));          \
-    __m128i t2 = _mm_unpackhi_epi32((r0), (r1));          \
-    __m128i t3 = _mm_unpackhi_epi32((r2), (r3));          \
-    (c0) = _mm_unpacklo_epi64(t0, t1);                    \
-    (c1) = _mm_unpackhi_epi64(t0, t1);                    \
-    (c2) = _mm_unpacklo_epi64(t2, t3);                    \
-    (c3) = _mm_unpackhi_epi64(t2, t3);                    \
-  } while (0)
-
-}  // namespace
-
-__attribute__((target("avx2"))) void sha256_compress4_avx2(
-    std::uint32_t (*states)[8], const std::uint8_t* const blocks[4]) {
-  const __m128i kBswap = _mm_setr_epi8(3, 2, 1, 0, 7, 6, 5, 4,  //
-                                       11, 10, 9, 8, 15, 14, 13, 12);
-
-  // Message schedule ring: w[i] lane j = word i of message j.
-  __m128i w[16];
-  for (int q = 0; q < 4; ++q) {
-    __m128i r0 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(blocks[0] + 16 * q)),
-        kBswap);
-    __m128i r1 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(blocks[1] + 16 * q)),
-        kBswap);
-    __m128i r2 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(blocks[2] + 16 * q)),
-        kBswap);
-    __m128i r3 = _mm_shuffle_epi8(
-        _mm_loadu_si128(
-            reinterpret_cast<const __m128i*>(blocks[3] + 16 * q)),
-        kBswap);
-    MYKIL_TRANSPOSE4(r0, r1, r2, r3, w[4 * q], w[4 * q + 1], w[4 * q + 2],
-                     w[4 * q + 3]);
-  }
-
-  // Transpose the four row-major states into one vector per state word.
-  __m128i a, b, c, d, e, f, g, h;
-  {
-    __m128i s00 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[0]));
-    __m128i s01 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[1]));
-    __m128i s02 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[2]));
-    __m128i s03 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[3]));
-    MYKIL_TRANSPOSE4(s00, s01, s02, s03, a, b, c, d);
-    __m128i s10 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[0] + 4));
-    __m128i s11 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[1] + 4));
-    __m128i s12 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[2] + 4));
-    __m128i s13 =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(states[3] + 4));
-    MYKIL_TRANSPOSE4(s10, s11, s12, s13, e, f, g, h);
-  }
-  const __m128i a0 = a, b0 = b, c0 = c, d0 = d;
-  const __m128i e0 = e, f0 = f, g0 = g, h0 = h;
-
-  auto rotr = [](__m128i v, int n) {
-    return _mm_or_si128(_mm_srli_epi32(v, n), _mm_slli_epi32(v, 32 - n));
-  };
-
-  for (int i = 0; i < 64; ++i) {
-    if (i >= 16) {
-      __m128i w15 = w[(i - 15) & 15], w2 = w[(i - 2) & 15];
-      __m128i s0 = _mm_xor_si128(_mm_xor_si128(rotr(w15, 7), rotr(w15, 18)),
-                                 _mm_srli_epi32(w15, 3));
-      __m128i s1 = _mm_xor_si128(_mm_xor_si128(rotr(w2, 17), rotr(w2, 19)),
-                                 _mm_srli_epi32(w2, 10));
-      w[i & 15] = _mm_add_epi32(_mm_add_epi32(w[i & 15], s0),
-                                _mm_add_epi32(w[(i - 7) & 15], s1));
-    }
-    __m128i sig1 = _mm_xor_si128(_mm_xor_si128(rotr(e, 6), rotr(e, 11)),
-                                 rotr(e, 25));
-    __m128i ch =
-        _mm_xor_si128(g, _mm_and_si128(e, _mm_xor_si128(f, g)));
-    __m128i t1 = _mm_add_epi32(
-        _mm_add_epi32(_mm_add_epi32(h, sig1), _mm_add_epi32(ch, w[i & 15])),
-        _mm_set1_epi32(static_cast<int>(kSha256K[i])));
-    __m128i sig0 = _mm_xor_si128(_mm_xor_si128(rotr(a, 2), rotr(a, 13)),
-                                 rotr(a, 22));
-    __m128i maj = _mm_or_si128(_mm_and_si128(a, b),
-                               _mm_and_si128(c, _mm_or_si128(a, b)));
-    __m128i t2 = _mm_add_epi32(sig0, maj);
-    h = g;
-    g = f;
-    f = e;
-    e = _mm_add_epi32(d, t1);
-    d = c;
-    c = b;
-    b = a;
-    a = _mm_add_epi32(t1, t2);
-  }
-
-  a = _mm_add_epi32(a, a0);
-  b = _mm_add_epi32(b, b0);
-  c = _mm_add_epi32(c, c0);
-  d = _mm_add_epi32(d, d0);
-  e = _mm_add_epi32(e, e0);
-  f = _mm_add_epi32(f, f0);
-  g = _mm_add_epi32(g, g0);
-  h = _mm_add_epi32(h, h0);
-
-  __m128i o0, o1, o2, o3;
-  MYKIL_TRANSPOSE4(a, b, c, d, o0, o1, o2, o3);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[0]), o0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[1]), o1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[2]), o2);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[3]), o3);
-  MYKIL_TRANSPOSE4(e, f, g, h, o0, o1, o2, o3);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[0] + 4), o0);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[1] + 4), o1);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[2] + 4), o2);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(states[3] + 4), o3);
-}
-
-#undef MYKIL_TRANSPOSE4
-
 }  // namespace mykil::crypto::detail
 
 #else  // !x86: stubs (never dispatched to — cpu_features() reports none).
@@ -282,8 +147,6 @@ __attribute__((target("avx2"))) void sha256_compress4_avx2(
 namespace mykil::crypto::detail {
 
 void sha256_compress_shani(std::uint32_t*, const std::uint8_t*, std::size_t) {}
-void sha256_compress4_avx2(std::uint32_t (*)[8],
-                           const std::uint8_t* const[4]) {}
 
 }  // namespace mykil::crypto::detail
 

@@ -26,11 +26,6 @@ void sha256_compress_scalar(std::uint32_t* state, const std::uint8_t* data,
 void sha256_compress_shani(std::uint32_t* state, const std::uint8_t* data,
                            std::size_t blocks);
 
-/// AVX2 4-lane interleaved compression: one 64-byte block per lane, four
-/// independent states. `blocks[j]` feeds `states[j]`.
-void sha256_compress4_avx2(std::uint32_t (*states)[8],
-                           const std::uint8_t* const blocks[4]);
-
 /// Speck128-CTR keystream XOR: process the largest multiple of 4 out of
 /// `full_blocks` whole 16-byte blocks, XORing the keystream for counters
 /// [counter, counter+n) into `data`. Returns the number of blocks processed

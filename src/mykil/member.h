@@ -100,8 +100,6 @@ class Member : public net::Node {
   [[nodiscard]] std::uint64_t key_recoveries() const { return key_recoveries_; }
   /// Directed migrations obeyed (split/merge rebalancing, DESIGN.md 14.2).
   [[nodiscard]] std::uint64_t migrations() const { return migrations_; }
-  /// Step-1 load-shed replies received from the RS (DESIGN.md 14.3).
-  [[nodiscard]] std::uint64_t sheds_received() const { return sheds_received_; }
   [[nodiscard]] const net::ArqEndpoint& arq() const { return arq_; }
 
   /// Checkpoint the member's dynamic protocol state (membership, ticket,
@@ -195,7 +193,6 @@ class Member : public net::Node {
   /// Earliest time the watchdog may retry step 1 after an RS load-shed.
   net::SimTime join_backoff_until_ = 0;
   std::uint64_t migrations_ = 0;
-  std::uint64_t sheds_received_ = 0;
   /// Bumped on crash so timers armed before the failure are ignored when
   /// they fire after recovery (the simulator suppresses only timers whose
   /// due time falls inside the down window).

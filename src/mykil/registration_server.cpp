@@ -31,10 +31,6 @@ void RegistrationServer::authorize(ClientId client, net::SimDuration duration) {
   durable_.auth_db[client] = duration;
 }
 
-void RegistrationServer::revoke(ClientId client) {
-  durable_.auth_db.erase(client);
-}
-
 void RegistrationServer::ensure_arq() {
   if (arq_.bound()) return;
   arq_.bind(network(), id(), config_.arq, config_.reliable_control,

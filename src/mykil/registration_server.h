@@ -35,10 +35,6 @@ class RegistrationServer : public net::Node {
 
   /// Authorization database: allow `client` to join for `duration`.
   void authorize(ClientId client, net::SimDuration duration);
-  void revoke(ClientId client);
-  [[nodiscard]] bool is_authorized(ClientId client) const {
-    return durable_.auth_db.contains(client);
-  }
 
   /// Register an area controller (and optional backup) in the directory.
   void register_ac(AcInfo info) { durable_.directory.add(std::move(info)); }
@@ -50,8 +46,6 @@ class RegistrationServer : public net::Node {
   [[nodiscard]] const AcDirectory& directory() const {
     return durable_.directory;
   }
-  /// Local bookkeeping after a takeover announcement reaches the operator.
-  void note_takeover(AcId ac_id) { durable_.directory.promote_backup(ac_id); }
 
   /// Arm the admission-drain and rebalance timers (no-ops when the
   /// corresponding config knobs are disabled). Called once after the

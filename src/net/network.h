@@ -222,9 +222,6 @@ class Network {
   /// registration server in shard 0, area i in shard i + 1.
   void set_shard(NodeId node, std::uint32_t shard);
   [[nodiscard]] std::uint32_t shard_of(NodeId node) const;
-  [[nodiscard]] std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shards_.size());
-  }
 
   /// Assign `node` to a latency site (default 0). Deliveries between
   /// different sites cost config.inter_site_latency extra. A site is part
@@ -361,7 +358,6 @@ class Network {
   /// enabled and only feeds engine_profile(); the schedule and digests
   /// are unaffected.
   void enable_engine_profile(bool on) { profile_ = on; }
-  [[nodiscard]] bool engine_profile_enabled() const { return profile_; }
   /// Snapshot the collected accounting. Call from outside the event loop.
   [[nodiscard]] EngineProfile engine_profile() const;
 

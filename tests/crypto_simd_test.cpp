@@ -21,7 +21,6 @@
 #include "crypto/hmac.h"
 #include "crypto/sealed.h"
 #include "crypto/sha256.h"
-#include "crypto/simd_kernels.h"
 #include "crypto/speck.h"
 
 namespace mykil::crypto {
@@ -147,132 +146,10 @@ TEST(Sha256Simd, AllLengthsAndOffsets) {
   }
 }
 
-TEST(Sha256Simd, MultiMatchesSingleLaneByLane) {
-  for (std::size_t len = 0; len <= kMaxLen; len += 13) {
-    // Deliberately unequal lanes: lockstep blocks + per-lane remainders.
-    std::array<Bytes, 4> msgs = {
-        pattern(len, 1), pattern(len / 2, 2), pattern(0, 3),
-        pattern(kMaxLen - len, 4)};
-    std::array<ByteView, 4> views;
-    for (std::size_t i = 0; i < 4; ++i) views[i] = msgs[i];
-
-    std::array<Bytes, 4> multi = sha256_multi(views);
-    ForceScalar fs(true);
-    std::array<Bytes, 4> multi_scalar = sha256_multi(views);
-    for (std::size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(multi[i], Sha256::digest(views[i])) << "lane " << i;
-      ASSERT_EQ(multi_scalar[i], multi[i]) << "lane " << i;
-    }
-  }
-}
-
-TEST(Sha256Simd, MultiResumeMatchesIncremental) {
-  Bytes prefix = pattern(Sha256::kBlockSize, 0x77);  // one absorbed block
-  Sha256 primed;
-  primed.update(prefix);
-
-  std::array<Bytes, 4> msgs = {pattern(5, 1), pattern(64, 2), pattern(200, 3),
-                               Bytes{}};
-  std::array<ByteView, 4> views;
-  for (std::size_t i = 0; i < 4; ++i) views[i] = msgs[i];
-
-  std::array<Bytes, 4> resumed = sha256_multi_resume(primed, views);
-  for (std::size_t i = 0; i < 4; ++i) {
-    Sha256 h;
-    h.update(prefix);
-    h.update(views[i]);
-    ASSERT_EQ(resumed[i], h.finish()) << "lane " << i;
-  }
-}
-
-// The public sha256_multi dispatch prefers SHA-NI over the 4-lane AVX2
-// kernel where both exist, so on such hosts the lane kernel would go
-// untested through the public API — exercise it directly against the
-// scalar compression core instead.
-TEST(Sha256Simd, Compress4Avx2MatchesScalarCore) {
-  if (!cpu_features().avx2) GTEST_SKIP() << "no AVX2 on this host";
-  for (int trial = 0; trial < 32; ++trial) {
-    std::uint32_t lane_states[4][8];
-    std::uint32_t want[4][8];
-    Bytes blocks[4];
-    const std::uint8_t* block_ptrs[4];
-    for (int j = 0; j < 4; ++j) {
-      Bytes seed =
-          pattern(32, static_cast<std::uint8_t>(trial * 4 + j));
-      for (int i = 0; i < 8; ++i) {
-        lane_states[j][i] = static_cast<std::uint32_t>(
-            seed[4 * i] << 24 | seed[4 * i + 1] << 16 | seed[4 * i + 2] << 8 |
-            seed[4 * i + 3]);
-        want[j][i] = lane_states[j][i];
-      }
-      blocks[j] = pattern(64, static_cast<std::uint8_t>(100 + trial + j));
-      block_ptrs[j] = blocks[j].data();
-      detail::sha256_compress_scalar(want[j], blocks[j].data(), 1);
-    }
-    detail::sha256_compress4_avx2(lane_states, block_ptrs);
-    for (int j = 0; j < 4; ++j)
-      for (int i = 0; i < 8; ++i)
-        ASSERT_EQ(lane_states[j][i], want[j][i])
-            << "trial " << trial << " lane " << j << " word " << i;
-  }
-}
-
 TEST(Sha256Simd, MidstateRequiresBlockBoundary) {
   Sha256 h;
   h.update(pattern(10, 0));
   EXPECT_THROW((void)h.midstate(), CryptoError);
-}
-
-TEST(HmacSimd, Mac4MatchesSingleAndScalar) {
-  HmacKey key(test_key());
-  for (std::size_t len = 0; len <= 300; len += 7) {
-    std::array<Bytes, 4> msgs = {pattern(len, 1), pattern(len + 63, 2),
-                                 Bytes{}, pattern(3 * len, 4)};
-    std::array<ByteView, 4> views;
-    for (std::size_t i = 0; i < 4; ++i) views[i] = msgs[i];
-
-    std::array<Bytes, 4> batch = key.mac4(views);
-    ForceScalar fs(true);
-    std::array<Bytes, 4> batch_scalar = key.mac4(views);
-    for (std::size_t i = 0; i < 4; ++i) {
-      ASSERT_EQ(batch[i], key.mac(views[i])) << "lane " << i;
-      ASSERT_EQ(batch_scalar[i], batch[i]) << "lane " << i;
-    }
-  }
-}
-
-TEST(HmacSimd, Verify4TamperAndTruncation) {
-  HmacKey key(test_key());
-  std::array<Bytes, 4> msgs = {pattern(33, 1), pattern(64, 2), pattern(100, 3),
-                               pattern(9, 4)};
-  std::array<ByteView, 4> views;
-  for (std::size_t i = 0; i < 4; ++i) views[i] = msgs[i];
-  std::array<Bytes, 4> tags = key.mac4(views);
-  tags[1].resize(16);  // truncated tags are accepted
-  std::array<ByteView, 4> tag_views;
-  for (std::size_t i = 0; i < 4; ++i) tag_views[i] = tags[i];
-
-  std::array<bool, 4> ok = key.verify4(views, tag_views);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_TRUE(ok[i]) << i;
-
-  // Tampering one slot must fail only that slot.
-  Bytes bad = msgs[2];
-  bad[50] ^= 0x01;
-  views[2] = bad;
-  ok = key.verify4(views, tag_views);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  EXPECT_FALSE(ok[2]);
-  EXPECT_TRUE(ok[3]);
-
-  // An empty tag rejects without disturbing its neighbors.
-  views[2] = msgs[2];
-  tag_views[3] = ByteView{};
-  ok = key.verify4(views, tag_views);
-  EXPECT_TRUE(ok[0]);
-  EXPECT_TRUE(ok[1]);
-  EXPECT_TRUE(ok[2]);
-  EXPECT_FALSE(ok[3]);
 }
 
 TEST(DataPlaneSimd, SealMatchesKnownAnswers) {
@@ -313,29 +190,6 @@ TEST(DataPlaneSimd, SealMatchesKnownAnswers) {
   EXPECT_EQ(hex_encode(Sha256::digest(box)),
             "377d062c6f3782fa73bc1cfe09a7bed9abefc6739afc0b73d41644babff479d1");
   EXPECT_EQ(dpk.open(box), msg);
-}
-
-TEST(DataPlaneSimd, Open4IsolatesTamperedSlot) {
-  SymmetricKey key(test_key());
-  DataPlaneKey dpk(key);
-  Prng prng(99);
-  std::array<Bytes, 4> msgs = {pattern(10, 1), pattern(256, 2), pattern(0, 3),
-                               pattern(1000, 4)};
-  std::array<Bytes, 4> boxes;
-  for (std::size_t i = 0; i < 4; ++i) boxes[i] = dpk.seal(msgs[i], prng);
-  boxes[1][boxes[1].size() - 1] ^= 0x80;  // corrupt one tag
-  std::array<ByteView, 4> views;
-  for (std::size_t i = 0; i < 4; ++i) views[i] = boxes[i];
-
-  DataPlaneKey::Open4Result r = dpk.open4(views);
-  EXPECT_TRUE(r.ok[0]);
-  EXPECT_FALSE(r.ok[1]);
-  EXPECT_TRUE(r.ok[2]);
-  EXPECT_TRUE(r.ok[3]);
-  EXPECT_EQ(r.plaintexts[0], msgs[0]);
-  EXPECT_TRUE(r.plaintexts[1].empty());
-  EXPECT_EQ(r.plaintexts[2], msgs[2]);
-  EXPECT_EQ(r.plaintexts[3], msgs[3]);
 }
 
 // The allocation-free entry points of the receive path against the
@@ -465,12 +319,10 @@ TEST(CpuFeaturesApi, ImplNamesAndOverride) {
   };
   EXPECT_TRUE(one_of(speck_impl_name(), {"scalar", "sse2", "avx2"}));
   EXPECT_TRUE(one_of(sha256_impl_name(), {"scalar", "sha_ni"}));
-  EXPECT_TRUE(one_of(sha256_multi_impl_name(), {"scalar", "avx2", "sha_ni"}));
 
   ForceScalar fs(true);
   EXPECT_STREQ(speck_impl_name(), "scalar");
   EXPECT_STREQ(sha256_impl_name(), "scalar");
-  EXPECT_STREQ(sha256_multi_impl_name(), "scalar");
 }
 
 }  // namespace
