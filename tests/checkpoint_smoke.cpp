@@ -181,7 +181,7 @@ int main() {
   if (!cr.restored) return fail("chaos run never checkpointed");
   if (cr.checkpoint_bytes == 0) return fail("empty checkpoint blob");
   if (!cr.converged()) return fail("restored chaos run did not converge");
-  if (cr.checkpoint_bytes != 46456 || cr.digest != 0xcffdf59699c08822) {
+  if (cr.checkpoint_bytes != 46873 || cr.digest != 0xfb68f0653ecc139e) {
     std::printf("checkpoint_smoke: chaos %zu bytes, digest %016llx\n",
                 cr.checkpoint_bytes,
                 static_cast<unsigned long long>(cr.digest));

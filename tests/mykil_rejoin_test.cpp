@@ -301,5 +301,31 @@ TEST(MykilRejoin, TicketReissuedOnMovePreservesValidity) {
   EXPECT_NE(m->sealed_ticket(), ticket_before);
 }
 
+TEST(MykilRejoin, LeaveDuringMoveEndsTheMove) {
+  // A move keeps the member joined at its old area until the target
+  // answers. A voluntary leave in that window ends the move too: the
+  // target's replies must not admit the departed member, and the watchdog
+  // must not retry the rejoin on its behalf.
+  World w(2);
+  auto m = w.group.make_member(1, net::sec(3600));
+  w.group.join_member(*m, net::sec(3600));
+  AcId origin = m->current_ac();
+  AcId target = origin == w.group.ac(0).ac_id() ? w.group.ac(1).ac_id()
+                                                : w.group.ac(0).ac_id();
+
+  m->rejoin(target);
+  m->leave();
+  w.group.settle(net::sec(5));
+
+  EXPECT_FALSE(m->joined());
+  EXPECT_FALSE(m->keys().has_group_key());
+  EXPECT_FALSE(m->last_rejoin_latency().has_value());
+  EXPECT_EQ(m->watchdog_rejoins(), 0u);
+  for (std::size_t a = 0; a < 2; ++a) {
+    EXPECT_FALSE(w.group.ac(a).has_member(1)) << "area " << a;
+    EXPECT_EQ(w.group.ac(a).counters().rejoins, 0u) << "area " << a;
+  }
+}
+
 }  // namespace
 }  // namespace mykil::core
